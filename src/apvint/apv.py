@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .paths import Arc, ComplexPath, IntegralSpec, classify_side, semicircle_path
+from .paths import Arc, ComplexPath, IntegralSpec, Line, classify_side, semicircle_path
 from .quadrature import (QuadConfig, QuadResult, integrate_on_path,
                          integrate_path, singular_integrand)
 
@@ -70,31 +70,42 @@ def derivative_at_pole(spec: IntegralSpec, circle_radius: float | None = None,
 
 
 def default_paths(spec: IntegralSpec) -> tuple[ComplexPath, ComplexPath]:
-    """Semicircle-indented paths above and below with eps = pole_gap / 2."""
-    eps = spec.pole_gap / 2
-    for p in spec.decl.declared_poles:
-        eps = min(eps, abs(p - spec.x0) * 0.5)
+    """Semicircle-indented paths above and below, of radius default_circle_radius."""
+    eps = default_circle_radius(spec)
     return (semicircle_path(spec, eps, "above"), semicircle_path(spec, eps, "below"))
 
 
-def _require_side(path: ComplexPath, spec: IntegralSpec, side: str):
+def _checked_path(spec: IntegralSpec, path: ComplexPath | None, side: str) -> ComplexPath:
+    """The given path, or the default semicircle, once it is shown to run from a
+    to b on `side` of x0 and to cut off no declared pole of f.
+
+    A pole is cut off when the loop made of the path and the straight return
+    from b to a winds around it.
+    """
+    if path is None:
+        path = semicircle_path(spec, default_circle_radius(spec), side)
+    a, b = complex(spec.a), complex(spec.b)
+    if max(abs(path.start - a), abs(path.end - b)) > 1e-9 * max(1.0, abs(a) + abs(b)):
+        raise ValueError(f"path runs from {path.start} to {path.end}, not from a={spec.a} "
+                         f"to b={spec.b}")
     got = classify_side(path, spec.x0)
     if got != side:
         raise ValueError(f"path classified as {got!r}, expected {side!r}")
+    back = Line(b, a)
+    for p in spec.decl.declared_poles:
+        if min(path.min_distance_to(p), back.min_distance_to(p)) <= 0.0:
+            raise ValueError(f"declared pole {p} lies on the path or on [a, b]")
+        if round((path.turn(p) + back.turn(p)) / (2 * math.pi)) != 0:
+            raise ValueError(f"path {side} x0 encloses declared pole {p}")
+    return path
 
 
 def apv_average(spec: IntegralSpec, path_plus: ComplexPath | None = None,
                 path_minus: ComplexPath | None = None,
                 cfg: QuadConfig | None = None) -> ApvReport:
     """Two-path route: average of the above-path and below-path integrals."""
-    if path_plus is None or path_minus is None:
-        dp, dm = default_paths(spec)
-        path_plus = path_plus or dp
-        path_minus = path_minus or dm
-    _require_side(path_plus, spec, "above")
-    _require_side(path_minus, spec, "below")
-    rp = integrate_path(spec, path_plus, cfg)
-    rm = integrate_path(spec, path_minus, cfg)
+    rp = integrate_path(spec, _checked_path(spec, path_plus, "above"), cfg)
+    rm = integrate_path(spec, _checked_path(spec, path_minus, "below"), cfg)
     residue = derivative_at_pole(spec, cfg=cfg)
     avg = 0.5 * (rp.value + rm.value)
     err = 0.5 * (rp.err_estimate + rm.err_estimate)
@@ -114,10 +125,7 @@ def apv_average(spec: IntegralSpec, path_plus: ComplexPath | None = None,
 def apv_upper(spec: IntegralSpec, path_plus: ComplexPath | None = None,
               cfg: QuadConfig | None = None) -> ApvReport:
     """One-path route using the above path plus i*pi times the residue term."""
-    if path_plus is None:
-        path_plus = default_paths(spec)[0]
-    _require_side(path_plus, spec, "above")
-    rp = integrate_path(spec, path_plus, cfg)
+    rp = integrate_path(spec, _checked_path(spec, path_plus, "above"), cfg)
     residue = derivative_at_pole(spec, cfg=cfg)
     total = rp.value + 1j * math.pi * residue
     return ApvReport(
@@ -136,10 +144,7 @@ def apv_upper(spec: IntegralSpec, path_plus: ComplexPath | None = None,
 def apv_lower(spec: IntegralSpec, path_minus: ComplexPath | None = None,
               cfg: QuadConfig | None = None) -> ApvReport:
     """One-path route using the below path minus i*pi times the residue term."""
-    if path_minus is None:
-        path_minus = default_paths(spec)[1]
-    _require_side(path_minus, spec, "below")
-    rm = integrate_path(spec, path_minus, cfg)
+    rm = integrate_path(spec, _checked_path(spec, path_minus, "below"), cfg)
     residue = derivative_at_pole(spec, cfg=cfg)
     total = rm.value - 1j * math.pi * residue
     return ApvReport(
@@ -159,19 +164,11 @@ def jump_relation_check(spec: IntegralSpec, path_plus: ComplexPath | None = None
                         path_minus: ComplexPath | None = None,
                         cfg: QuadConfig | None = None) -> dict:
     """Residue-theorem consistency: Int- minus Int+ against 2*pi*i*residue."""
-    if path_plus is None or path_minus is None:
-        dp, dm = default_paths(spec)
-        path_plus = path_plus or dp
-        path_minus = path_minus or dm
-    _require_side(path_plus, spec, "above")
-    _require_side(path_minus, spec, "below")
-    rp = integrate_path(spec, path_plus, cfg)
-    rm = integrate_path(spec, path_minus, cfg)
-    residue = derivative_at_pole(spec, cfg=cfg)
-    lhs = rm.value - rp.value
-    rhs = 2j * math.pi * residue
+    rep = apv_average(spec, path_plus, path_minus, cfg)
+    lhs = rep.int_minus - rep.int_plus
+    rhs = 2j * math.pi * rep.residue_term
     return {"lhs": lhs, "rhs": rhs, "abs_diff": abs(lhs - rhs),
-            "err_estimate": rp.err_estimate + rm.err_estimate}
+            "err_estimate": 2 * rep.err_estimate}
 
 
 def report_to_dict(report: ApvReport) -> dict:

@@ -21,9 +21,17 @@ from .apv import (apv_average, apv_lower, apv_upper, default_paths,
                   report_to_dict)
 from .expr import AnalyticityDecl, ParseError, parse, validate_region
 from .paths import IntegralSpec, path_from_dict, semicircle_path
-from .quadrature import QuadConfig
+from .quadrature import QuadConfig, singular_integrand
 
 ROUTES = ("average", "upper", "lower", "fox", "series", "spf")
+
+# The contour routes, given both paths. Each looks its function up in this
+# module when called, so a wrapper bound to the module's name sees the call.
+_CONTOUR_ROUTES = {
+    "average": lambda spec, plus, minus, cfg: apv_average(spec, plus, minus, cfg),
+    "upper": lambda spec, plus, minus, cfg: apv_upper(spec, plus, cfg),
+    "lower": lambda spec, plus, minus, cfg: apv_lower(spec, minus, cfg),
+}
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -105,33 +113,15 @@ def _contour_paths(args, spec: IntegralSpec):
         with open(args.path_file) as fh:
             loaded = path_from_dict(json.load(fh))
         if loaded.side == "above":
-            return loaded, mirror_path(loaded)
-        return mirror_path(loaded), loaded
+            return loaded, loaded.conjugate()
+        return loaded.conjugate(), loaded
     if args.path_eps is not None:
-        eps = args.path_eps
-        if not (0 < eps < spec.pole_gap):
-            raise CliError(f"--path-eps must lie in (0, {spec.pole_gap})")
-        for p in spec.decl.declared_poles:
-            if abs(p - spec.x0) <= eps:
-                raise CliError(
-                    f"--path-eps {eps} reaches declared pole {p} (distance {abs(p - spec.x0):.3g})")
-        return (semicircle_path(spec, eps, "above"),
-                semicircle_path(spec, eps, "below"))
+        try:
+            return (semicircle_path(spec, args.path_eps, "above"),
+                    semicircle_path(spec, args.path_eps, "below"))
+        except ValueError as exc:
+            raise CliError(f"--path-eps {args.path_eps}: {exc}") from exc
     return default_paths(spec)
-
-
-def mirror_path(path):
-    """Mirror a path across the real axis, flipping its side."""
-    from .paths import Arc, ComplexPath, Line
-    segs = []
-    for seg in path.segments:
-        if isinstance(seg, Line):
-            segs.append(Line(seg.start.conjugate(), seg.end.conjugate()))
-        else:
-            segs.append(Arc(seg.center.conjugate(), seg.radius,
-                            -seg.theta_start, -seg.theta_end))
-    flipped = {"above": "below", "below": "above"}[path.side]
-    return ComplexPath(tuple(segs), flipped)
 
 
 def _run_routes(args, spec: IntegralSpec, cfg: QuadConfig) -> dict:
@@ -144,18 +134,8 @@ def _run_routes(args, spec: IntegralSpec, cfg: QuadConfig) -> dict:
     plus, minus = _contour_paths(args, spec)
     results = {}
     for name in names:
-        if name == "average":
-            rep = apv_average(spec, plus, minus, cfg)
-            results[name] = {"value": rep.value, "err_estimate": rep.err_estimate,
-                             "evals": rep.evals, "converged": _report_ok(rep),
-                             "report": report_to_dict(rep)}
-        elif name == "upper":
-            rep = apv_upper(spec, plus, cfg)
-            results[name] = {"value": rep.value, "err_estimate": rep.err_estimate,
-                             "evals": rep.evals, "converged": _report_ok(rep),
-                             "report": report_to_dict(rep)}
-        elif name == "lower":
-            rep = apv_lower(spec, minus, cfg)
+        if name in _CONTOUR_ROUTES:
+            rep = _CONTOUR_ROUTES[name](spec, plus, minus, cfg)
             results[name] = {"value": rep.value, "err_estimate": rep.err_estimate,
                              "evals": rep.evals, "converged": _report_ok(rep),
                              "report": report_to_dict(rep)}
@@ -228,14 +208,13 @@ def emit_report(args, spec: IntegralSpec, results: dict, agreement: dict, out=No
 def _emit_integrand(args, spec: IntegralSpec):
     import numpy as np
 
-    from .expr import evaluate
     plus, _ = _contour_paths(args, spec)
+    integrand = singular_integrand(spec)
     rows = []
     for seg in plus.segments:
         lo, hi = seg.param_interval
         ts = np.linspace(lo, hi, 512)
-        z = seg.point(ts)
-        g = evaluate(spec.f, z) / (z - spec.x0) ** (spec.n + 1) * seg.derivative(ts)
+        g = integrand(seg.point(ts)) * seg.derivative(ts)
         rows.extend(zip(ts.tolist(), g.real.tolist(), g.imag.tolist()))
     with open(args.emit_integrand, "w", newline="") as fh:
         writer = csv.writer(fh)

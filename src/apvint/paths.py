@@ -1,12 +1,12 @@
 """Piecewise line/arc integration paths in the complex plane.
 
 A path runs from a to b on the real axis while avoiding the interior pole x0,
-passing it either above or below. Side classification is done by a winding
-number computation: the path is closed with a straight return from b to a
-indented *below* x0 by a small semicircle, and the winding number of the
-resulting loop about x0 is -1 for paths passing above and 0 for paths passing
-below (the loop built from a below-path and a reversed above-path winds +1,
-matching the residue-count convention used by the jump relation).
+passing it either above or below. Sides are classified exactly from the turn
+of arg(z - x0) along the path, summed segment by segment in closed form: a
+path from a to b turns by -pi about x0 when it passes above and by +pi when it
+passes below. The same turn, closed by the straight return from b to a, gives
+the winding number of the loop about any other point, such as a declared pole
+of f that the path must not cut off.
 """
 
 from __future__ import annotations
@@ -88,6 +88,13 @@ class Line:
     def reversed(self):
         return Line(self.end, self.start)
 
+    def conjugate(self):
+        return Line(self.start.conjugate(), self.end.conjugate())
+
+    def turn(self, p: complex) -> float:
+        """Exact change of arg(z - p) along the line; p must lie off it."""
+        return _principal_angle(self.start, self.end, p)
+
     def min_distance_to(self, p: complex) -> float:
         d = self.end - self.start
         L2 = abs(d) ** 2
@@ -132,6 +139,25 @@ class Arc:
     def reversed(self):
         return Arc(self.center, self.radius, self.theta_end, self.theta_start)
 
+    def conjugate(self):
+        return Arc(self.center.conjugate(), self.radius, -self.theta_start, -self.theta_end)
+
+    def turn(self, p: complex) -> float:
+        """Exact change of arg(z - p) along the arc; p must lie off it.
+
+        Seen from outside its circle (or from the circle itself) an arc spans
+        less than pi, so the principal angle is the turn. Seen from inside,
+        arg(z - p) turns with the arc by between |sweep|/2 and pi + |sweep|/2,
+        which fixes the multiple of 2*pi, also for full and empty sweeps.
+        """
+        angle = _principal_angle(self.first, self.last, p)
+        if abs(p - self.center) >= self.radius:
+            return angle
+        sweep = self.theta_end - self.theta_start
+        sign = -1.0 if sweep < 0 else 1.0
+        lo = abs(sweep) / 2 - math.pi / 2
+        return sign * (lo + (sign * angle - lo) % (2 * math.pi))
+
     def contains_angle(self, theta: float, tol: float = 1e-12) -> bool:
         lo, hi = sorted((self.theta_start, self.theta_end))
         # normalize theta into [lo - 2pi, hi + 2pi] window
@@ -151,6 +177,13 @@ class Arc:
 
 
 Segment = Line | Arc
+
+_OPPOSITE = {"above": "below", "below": "above"}
+
+
+def _principal_angle(first: complex, last: complex, p: complex) -> float:
+    w = (complex(last) - p) / (complex(first) - p)
+    return math.atan2(w.imag, w.real)
 
 
 @dataclass(frozen=True)
@@ -184,15 +217,16 @@ class ComplexPath:
         return min(seg.min_distance_to(p) for seg in self.segments)
 
     def reversed(self) -> "ComplexPath":
-        flipped = {"above": "below", "below": "above"}[self.side]
-        return ComplexPath(tuple(s.reversed() for s in reversed(self.segments)), flipped)
+        return ComplexPath(tuple(s.reversed() for s in reversed(self.segments)),
+                           _OPPOSITE[self.side])
 
-    def sample(self, per_segment: int = 257) -> np.ndarray:
-        pts = []
-        for seg in self.segments:
-            lo, hi = seg.param_interval
-            pts.append(seg.point(np.linspace(lo, hi, per_segment)))
-        return np.concatenate(pts)
+    def conjugate(self) -> "ComplexPath":
+        """Mirror image across the real axis, on the opposite side."""
+        return ComplexPath(tuple(s.conjugate() for s in self.segments), _OPPOSITE[self.side])
+
+    def turn(self, p: complex) -> float:
+        """Exact change of arg(z - p) along the path; p must lie off it."""
+        return sum(seg.turn(complex(p)) for seg in self.segments)
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +293,8 @@ def _check_pole_margins(spec: IntegralSpec, eps: float):
 def classify_side(path: ComplexPath, x0: float) -> str:
     """Return 'above', 'below' or 'invalid' for a path with real endpoints.
 
-    Uses winding of (path + indented straight return) about x0, computed from
-    unwrapped argument increments along a dense sampling. Paths touching x0 or
-    self-intersecting are invalid.
+    A path from a to b turns by -pi about x0 when it passes above and by +pi
+    when it passes below. Paths touching x0 or self-intersecting are invalid.
     """
     a, b = path.start, path.end
     if abs(a.imag) > 1e-9 or abs(b.imag) > 1e-9:
@@ -270,33 +303,7 @@ def classify_side(path: ComplexPath, x0: float) -> str:
         return "invalid"
     if _self_intersects(path):
         return "invalid"
-    span = abs(b.real - a.real)
-    delta = min(min(x0 - a.real, b.real - x0) * 0.5,
-                path.min_distance_to(complex(x0)) * 0.5,
-                0.001 * span if span else 1.0)
-    if delta <= 0:
-        return "invalid"
-    # closed loop: path, then b -> a along the real axis indented below x0
-    return_segs = (
-        Line(b, complex(x0 + delta)),
-        Arc(complex(x0), delta, 0.0, -math.pi),
-        Line(complex(x0 - delta), a),
-    )
-    pts = [path.sample()]
-    for seg in return_segs:
-        lo, hi = seg.param_interval
-        pts.append(seg.point(np.linspace(lo, hi, 257)))
-    loop = np.concatenate(pts)
-    angles = np.unwrap(np.angle(loop - x0))
-    winding = (angles[-1] - angles[0]) / (2 * math.pi)
-    nearest = round(winding)
-    if abs(winding - nearest) > 0.1:
-        return "invalid"
-    if nearest == -1:
-        return "above"
-    if nearest == 0:
-        return "below"
-    return "invalid"
+    return {-1: "above", 1: "below"}.get(round(path.turn(x0) / math.pi), "invalid")
 
 
 # ---------------------------------------------------------------------------

@@ -166,12 +166,18 @@ def integrate_on_path(func, path: ComplexPath, cfg: QuadConfig | None = None) ->
     return total
 
 
-def singular_integrand(spec: IntegralSpec, order: int | None = None):
-    """The path integrand f(z) / (z - x0)^(order+1), vectorized over z."""
+def singular_integrand(spec: IntegralSpec, order: int | None = None,
+                       center: complex | None = None):
+    """The integrand f(z) / (z - c)^(order+1), vectorized over real or complex z.
+
+    The pole c is x0 and the order is n unless given.
+    """
     n = spec.n if order is None else order
+    c = spec.x0 if center is None else center
 
     def g(z):
-        return evaluate(spec.f, z) / (z - spec.x0) ** (n + 1)
+        z = np.asarray(z, dtype=np.complex128)
+        return evaluate(spec.f, z) / (z - c) ** (n + 1)
 
     return g
 
@@ -190,9 +196,4 @@ def integrate_real_segment(spec: IntegralSpec, lo: float, hi: float,
     a, b = sorted((lo, hi))
     if a <= spec.x0 <= b:
         raise ValueError(f"real segment [{lo}, {hi}] contains the pole x0={spec.x0}")
-
-    def g(x):
-        z = x.astype(np.complex128) if isinstance(x, np.ndarray) else complex(x)
-        return evaluate(spec.f, z) / (z - spec.x0) ** (spec.n + 1)
-
-    return integrate_function(g, float(lo), float(hi), cfg)
+    return integrate_function(singular_integrand(spec), float(lo), float(hi), cfg)

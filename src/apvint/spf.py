@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import evaluate
 from .extrapolate import richardson_zero
 from .paths import ComplexPath, IntegralSpec
-from .quadrature import QuadConfig, QuadResult, integrate_function, integrate_path
+from .quadrature import (QuadConfig, QuadResult, integrate_function, integrate_path,
+                         singular_integrand)
 
 __all__ = [
     "BoundaryReport",
@@ -52,11 +52,7 @@ def phi_at(spec: IntegralSpec, z: complex, cfg: QuadConfig | None = None) -> Qua
     z = complex(z)
     if z.imag == 0.0 and spec.a <= z.real <= spec.b:
         raise ValueError(f"z = {z} lies on the integration segment [{spec.a}, {spec.b}]")
-
-    def g(x):
-        xx = x.astype(np.complex128) if isinstance(x, np.ndarray) else complex(x)
-        return evaluate(spec.f, xx) / (xx - z) ** (spec.n + 1)
-
+    g = singular_integrand(spec, center=z)
     cuts = _split_points(spec.a, spec.b, z)
     total = QuadResult(0j, 0.0, 0, True, 0.0)
     for lo, hi in zip(cuts, cuts[1:]):

@@ -4,7 +4,7 @@ import pytest
 
 from apvint.apv import (apv_average, apv_lower, apv_upper, default_paths,
                         derivative_at_pole, jump_relation_check, report_to_dict)
-from apvint.paths import semicircle_bulge_path, semicircle_path
+from apvint.paths import Arc, ComplexPath, Line, semicircle_bulge_path, semicircle_path
 from apvint.quadrature import QuadConfig
 
 from conftest import COS_FPI_N1, COS_FPI_N3, exp_cpv_series, make_spec
@@ -61,6 +61,49 @@ class TestAverageRoute:
         plus, minus = default_paths(spec)
         with pytest.raises(ValueError, match="classified"):
             apv_average(spec, minus, plus)
+
+
+class TestPathChecks:
+    """User paths must run from a to b and cut off no declared pole."""
+
+    @pytest.fixture
+    def spec(self):
+        return make_spec("1/(1+z^2)", -2, 2, 0.3, 0, poles=(1j, -1j))
+
+    @staticmethod
+    def box(height):
+        corners = (-2, -2 + height * 1j, 2 + height * 1j, 2)
+        return ComplexPath(tuple(Line(complex(p), complex(q))
+                                 for p, q in zip(corners, corners[1:])), "above")
+
+    def test_bulge_enclosing_pole_rejected(self, spec):
+        bulge = ComplexPath((Line(-2 + 0j, -1.5 + 0j), Arc(0j, 1.5, math.pi, 0.0),
+                             Line(1.5 + 0j, 2 + 0j)), "above")
+        with pytest.raises(ValueError, match=r"above x0 encloses declared pole 1j"):
+            apv_average(spec, bulge, bulge.conjugate())
+        with pytest.raises(ValueError, match=r"above x0 encloses declared pole 1j"):
+            apv_upper(spec, bulge)
+        with pytest.raises(ValueError, match="below x0 encloses declared pole"):
+            apv_lower(spec, bulge.conjugate())
+
+    def test_pole_outside_loop_accepted(self, spec):
+        box = self.box(0.5)
+        rep = apv_average(spec, box, box.conjugate())
+        assert rep.value == pytest.approx(apv_average(spec).value, abs=1e-9)
+
+    def test_pole_on_path_rejected(self, spec):
+        with pytest.raises(ValueError, match="lies on the path"):
+            apv_upper(spec, self.box(1.0))
+
+    def test_pole_on_interval_rejected(self):
+        spec = make_spec("1/(z-1.5)", -2, 2, 0.3, 0, poles=(1.5,))
+        with pytest.raises(ValueError, match=r"on the path or on \[a, b\]"):
+            apv_upper(spec, self.box(0.5))
+
+    def test_path_for_another_interval_rejected(self, spec):
+        other = make_spec("1", -1, 1, 0.3, 0)
+        with pytest.raises(ValueError, match="not from a"):
+            apv_upper(spec, semicircle_path(other, 0.2, "above"))
 
 
 class TestOnePathRoutes:

@@ -7,7 +7,8 @@ import pytest
 
 from apvint.cli import (EXIT_DISAGREE, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
                         build_parser, main)
-from apvint.paths import path_to_dict, semicircle_path
+from apvint.paths import Arc, ComplexPath, Line, path_to_dict, semicircle_path
+from apvint.quadrature import integrate_path
 
 from conftest import COS_FPI_N1, make_spec
 
@@ -124,6 +125,37 @@ class TestPathInputs:
         assert rc == EXIT_OK
         doc = json.loads(out)
         assert doc["routes"]["average"]["value"] == pytest.approx(COS_FPI_N1, abs=1e-8)
+
+    def test_path_file_below_side_is_mirrored(self, capsys, tmp_path):
+        spec = make_spec("cos(z)", -1, 1, 0, 1)
+        pf = tmp_path / "path.json"
+        pf.write_text(json.dumps(path_to_dict(semicircle_path(spec, 0.4, "below"))))
+        rc, out, _ = run_cli(capsys, "--f", "cos(z)", "-a", "-1", "-b", "1",
+                             "--x0", "0", "-n", "1", "--path-file", str(pf),
+                             "--routes", "upper,lower", "--format", "json")
+        assert rc == EXIT_OK
+        routes = json.loads(out)["routes"]
+        want = integrate_path(spec, semicircle_path(spec, 0.4, "above")).value
+        assert complex(*routes["upper"]["report"]["int_plus"]) == pytest.approx(want, abs=1e-12)
+        assert routes["upper"]["value"] == pytest.approx(COS_FPI_N1, abs=1e-8)
+
+    def test_path_file_enclosing_declared_pole(self, capsys, tmp_path):
+        bulge = ComplexPath((Line(-2 + 0j, -1.5 + 0j), Arc(0j, 1.5, math.pi, 0.0),
+                             Line(1.5 + 0j, 2 + 0j)), "above")
+        pf = tmp_path / "bulge.json"
+        pf.write_text(json.dumps(path_to_dict(bulge)))
+        rc, out, err = run_cli(capsys, "--f", "1/(1+z^2)", "--poles", "i,-i",
+                               "-a", "-2", "-b", "2", "--x0", "0.3",
+                               "--routes", "average,upper,lower", "--path-file", str(pf))
+        assert rc == EXIT_USAGE
+        assert out == ""
+        assert "encloses declared pole 1j" in err
+
+    def test_path_eps_reaching_declared_pole(self, capsys):
+        rc, _, err = run_cli(capsys, "--f", "1/(1+4*z^2)", "--poles", "0.5i,-0.5i",
+                             "-a", "-1", "-b", "1", "--x0", "0", "--path-eps", "0.6")
+        assert rc == EXIT_USAGE
+        assert "path-eps" in err and "0.5j" in err
 
     def test_emit_integrand(self, capsys, tmp_path):
         target = tmp_path / "integrand.csv"

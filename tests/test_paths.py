@@ -1,12 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apvint.paths import (Arc, ComplexPath, Line, classify_side, path_from_dict,
-                          path_to_dict, semicircle_bulge_path, semicircle_path)
+from apvint.paths import (Arc, ComplexPath, Line, _self_intersects, classify_side,
+                          path_from_dict, path_to_dict, semicircle_bulge_path,
+                          semicircle_path)
 
 from conftest import make_spec
 
@@ -108,6 +110,32 @@ class TestClassifySide:
         p = ComplexPath((Line(-1 + 0.5j, 1 + 0.5j),), "above")
         assert classify_side(p, 0.0) == "invalid"
 
+    def test_arc_just_over_x0_seen_from_inside(self):
+        # a circle about -k*i whose top clears x0 = 0 by 0.01; the arc runs
+        # clockwise from arg -3pi/4 to arg -pi/4 about x0, over the top
+        k = (1 - 1e-4) / (math.sqrt(2) + 0.02)
+        center = -k * 1j
+        first, last = np.exp(-0.75j * math.pi), np.exp(-0.25j * math.pi)
+        arc = Arc(center, abs(first - center), np.angle(first - center),
+                  np.angle(last - center) - 2 * math.pi)
+        assert abs(center) < arc.radius
+        assert arc.radius - k == pytest.approx(0.01)
+        assert arc.turn(0j) == pytest.approx(-1.5 * math.pi)
+        assert arc.reversed().turn(0j) == pytest.approx(1.5 * math.pi)
+        path = ComplexPath((Line(-1 + 0j, complex(arc.first)), arc,
+                            Line(complex(arc.last), 1 + 0j)), "above")
+        assert path.turn(0.0) == pytest.approx(-math.pi)
+        assert classify_side(path, 0.0) == "above"
+        assert classify_side(path.conjugate(), 0.0) == "below"
+
+    def test_full_circle_arc(self):
+        for start, sign in ((-math.pi, 1), (math.pi, -1), (0.3, 1)):
+            arc = Arc(0.5 + 0.5j, 1.0, start, start + sign * 2 * math.pi)
+            for p in (0.5 + 0.5j, 0.9 + 0.2j, 0.5 - 0.49j):
+                assert arc.turn(p) == pytest.approx(sign * 2 * math.pi)
+            assert arc.turn(3 + 3j) == pytest.approx(0.0, abs=1e-12)
+            assert arc.turn(0.5 + 1.5j + 1e-9j) == pytest.approx(0.0, abs=1e-6)
+
 
 class TestPathValidation:
     def test_discontinuous_segments_rejected(self):
@@ -117,6 +145,12 @@ class TestPathValidation:
     def test_bad_side_label(self):
         with pytest.raises(ValueError):
             ComplexPath((Line(-1 + 0j, 1 + 0j),), "sideways")
+
+    def test_conjugate_mirrors_to_other_side(self, unit_spec):
+        for make, size in ((semicircle_path, 0.3), (semicircle_bulge_path, 1.0)):
+            above, below = make(unit_spec, size, "above"), make(unit_spec, size, "below")
+            assert above.conjugate() == below
+            assert below.conjugate() == above
 
     def test_reversed_flips_side_and_endpoints(self, unit_spec):
         p = semicircle_path(unit_spec, 0.5, "above")
@@ -165,3 +199,89 @@ def test_classify_round_trip_random(eps_frac, side, a, b, x0_frac):
         return
     path = semicircle_path(spec, eps, side)
     assert classify_side(path, x0) == side
+
+
+# -- exact turn against a dense-sampling reference ---------------------------
+
+CLEARANCE = 0.05  # keeps sampled steps well below the distance to the point
+
+
+def _samples(path, per_segment=4000):
+    pts = []
+    for seg in path.segments:
+        lo, hi = seg.param_interval
+        pts.append(seg.point(np.linspace(lo, hi, per_segment)))
+    return np.concatenate(pts)
+
+
+def _sampled_turn(points, p):
+    angles = np.unwrap(np.angle(points - p))
+    return angles[-1] - angles[0]
+
+
+def _sampled_side(path, x0):
+    """Side from the winding about x0 of the densely sampled loop made of the
+    path and the straight return from b to a, indented below x0."""
+    a, b = path.start, path.end
+    delta = min(x0 - a.real, b.real - x0, path.min_distance_to(complex(x0))) / 2
+    back = ComplexPath((Line(b, complex(x0 + delta)), Arc(complex(x0), delta, 0.0, -math.pi),
+                        Line(complex(x0 - delta), a)), "below")
+    winding = _sampled_turn(np.concatenate([_samples(path), _samples(back)]), x0) / (2 * math.pi)
+    return {-1: "above", 0: "below"}.get(round(winding), "invalid")
+
+
+def _joined(a, arc, b):
+    return (Line(a, complex(arc.first)), arc, Line(complex(arc.last), b))
+
+
+def _cap(a, b, h, over):
+    """One arc from a to b about (a+b)/2 + i*h, over the top or under the
+    bottom; for h > 0 the cap over the top sweeps more than pi."""
+    c = complex((a + b) / 2, h)
+    ta, tb = np.angle(a - c), np.angle(b - c)
+    if over:
+        te = ta - (ta - tb) % (2 * math.pi)
+    else:
+        te = ta + (tb - ta) % (2 * math.pi)
+    return (Arc(c, abs(a - c), float(ta), float(te)),)
+
+
+coord = st.floats(-3, 3)
+point = st.builds(complex, coord, st.floats(-2, 2))
+angle = st.floats(-math.pi, math.pi)
+ends = st.tuples(st.floats(-4, -0.5), st.floats(0.5, 4))
+
+
+@st.composite
+def random_paths(draw):
+    a, b = draw(ends)
+    kind = draw(st.sampled_from(["polyline", "arc", "cap", "loop"]))
+    if kind == "polyline":
+        verts = [complex(a)] + draw(st.lists(point, min_size=1, max_size=4)) + [complex(b)]
+        segs = tuple(Line(p, q) for p, q in zip(verts, verts[1:]))
+    elif kind == "arc":  # an arc centred anywhere, joined to a and b by lines
+        start = draw(angle)
+        arc = Arc(draw(point), draw(st.floats(0.2, 3)),
+                  start, start + draw(st.floats(-1.99, 1.99)) * math.pi)
+        segs = _joined(complex(a), arc, complex(b))
+    elif kind == "cap":
+        segs = _cap(a, b, draw(st.floats(-3, 3)), draw(st.booleans()))
+    else:  # a full circle traversed on the way from a to b
+        start = draw(angle)
+        arc = Arc(draw(point), draw(st.floats(0.2, 2)), start,
+                  start + draw(st.sampled_from([-2, 2])) * math.pi)
+        segs = _joined(complex(a), arc, complex(b))
+    return ComplexPath(segs, "above")
+
+
+@settings(max_examples=1000, deadline=None)
+@given(path=random_paths(), x0_frac=st.floats(0.05, 0.95), p=point)
+def test_exact_turn_matches_sampled_winding(path, x0_frac, p):
+    samples = _samples(path)
+    if path.min_distance_to(p) > CLEARANCE:
+        assert path.turn(p) == pytest.approx(_sampled_turn(samples, p), abs=1e-6)
+    x0 = path.start.real + x0_frac * (path.end.real - path.start.real)
+    if path.min_distance_to(complex(x0)) > CLEARANCE:
+        assert path.turn(x0) == pytest.approx(_sampled_turn(samples, x0), abs=1e-6)
+        want = "invalid" if _self_intersects(path) else _sampled_side(path, x0)
+        assert classify_side(path, x0) == want
