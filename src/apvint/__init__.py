@@ -7,8 +7,7 @@ from .classical import (EpsSchedule, TaylorCoeffs, fox_limit, series_cpv,
                         series_fpi, series_Fn, taylor_from_expr)
 from .expr import AnalyticityDecl, EvalError, Expr, ParseError, parse, validate_region
 from .paths import (Arc, ComplexPath, IntegralSpec, Line, classify_side,
-                    path_from_dict, path_to_dict, semicircle_bulge_path,
-                    semicircle_path)
+                    path_from_dict, path_to_dict, semicircle_path)
 from .quadrature import (QuadConfig, QuadResult, integrate_path,
                          integrate_real_segment)
 from .spf import BoundaryReport, boundary_values, phi_at, spf_identity_check

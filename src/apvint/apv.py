@@ -12,11 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .paths import Arc, ComplexPath, IntegralSpec, Line, classify_side, semicircle_path
-from .quadrature import (QuadConfig, QuadResult, integrate_on_path,
-                         integrate_path, singular_integrand)
+from .quadrature import QuadConfig, integrate_on_path, integrate_path, singular_integrand
 
 __all__ = [
     "ApvReport",
@@ -100,64 +97,54 @@ def _checked_path(spec: IntegralSpec, path: ComplexPath | None, side: str) -> Co
     return path
 
 
+def _contour_report(spec: IntegralSpec, route: str, path_plus: ComplexPath | None,
+                    path_minus: ComplexPath | None, cfg: QuadConfig | None) -> ApvReport:
+    """Integrate the sides `route` needs and assemble its report: the average
+    of both sides, or one side plus (above) or minus (below) i*pi times the
+    residue term."""
+    rp = None if route == "lower" else integrate_path(
+        spec, _checked_path(spec, path_plus, "above"), cfg)
+    rm = None if route == "upper" else integrate_path(
+        spec, _checked_path(spec, path_minus, "below"), cfg)
+    residue = derivative_at_pole(spec, cfg=cfg)
+    if route == "average":
+        total = 0.5 * (rp.value + rm.value)
+        err = 0.5 * (rp.err_estimate + rm.err_estimate)
+    elif route == "upper":
+        total, err = rp.value + 1j * math.pi * residue, rp.err_estimate
+    else:
+        total, err = rm.value - 1j * math.pi * residue, rm.err_estimate
+    sides = {name: r for name, r in (("int_plus", rp), ("int_minus", rm)) if r is not None}
+    return ApvReport(
+        value=total.real,
+        int_plus=None if rp is None else rp.value,
+        int_minus=None if rm is None else rm.value,
+        residue_term=residue,
+        route=route,
+        imag_residual=total.imag,
+        err_estimate=err,
+        evals=sum(r.evals for r in sides.values()),
+        diagnostics=sides,
+    )
+
+
 def apv_average(spec: IntegralSpec, path_plus: ComplexPath | None = None,
                 path_minus: ComplexPath | None = None,
                 cfg: QuadConfig | None = None) -> ApvReport:
     """Two-path route: average of the above-path and below-path integrals."""
-    rp = integrate_path(spec, _checked_path(spec, path_plus, "above"), cfg)
-    rm = integrate_path(spec, _checked_path(spec, path_minus, "below"), cfg)
-    residue = derivative_at_pole(spec, cfg=cfg)
-    avg = 0.5 * (rp.value + rm.value)
-    err = 0.5 * (rp.err_estimate + rm.err_estimate)
-    return ApvReport(
-        value=avg.real,
-        int_plus=rp.value,
-        int_minus=rm.value,
-        residue_term=residue,
-        route="average",
-        imag_residual=avg.imag,
-        err_estimate=err,
-        evals=rp.evals + rm.evals,
-        diagnostics={"int_plus": rp, "int_minus": rm},
-    )
+    return _contour_report(spec, "average", path_plus, path_minus, cfg)
 
 
 def apv_upper(spec: IntegralSpec, path_plus: ComplexPath | None = None,
               cfg: QuadConfig | None = None) -> ApvReport:
     """One-path route using the above path plus i*pi times the residue term."""
-    rp = integrate_path(spec, _checked_path(spec, path_plus, "above"), cfg)
-    residue = derivative_at_pole(spec, cfg=cfg)
-    total = rp.value + 1j * math.pi * residue
-    return ApvReport(
-        value=total.real,
-        int_plus=rp.value,
-        int_minus=None,
-        residue_term=residue,
-        route="upper",
-        imag_residual=total.imag,
-        err_estimate=rp.err_estimate,
-        evals=rp.evals,
-        diagnostics={"int_plus": rp},
-    )
+    return _contour_report(spec, "upper", path_plus, None, cfg)
 
 
 def apv_lower(spec: IntegralSpec, path_minus: ComplexPath | None = None,
               cfg: QuadConfig | None = None) -> ApvReport:
     """One-path route using the below path minus i*pi times the residue term."""
-    rm = integrate_path(spec, _checked_path(spec, path_minus, "below"), cfg)
-    residue = derivative_at_pole(spec, cfg=cfg)
-    total = rm.value - 1j * math.pi * residue
-    return ApvReport(
-        value=total.real,
-        int_plus=None,
-        int_minus=rm.value,
-        residue_term=residue,
-        route="lower",
-        imag_residual=total.imag,
-        err_estimate=rm.err_estimate,
-        evals=rm.evals,
-        diagnostics={"int_minus": rm},
-    )
+    return _contour_report(spec, "lower", None, path_minus, cfg)
 
 
 def jump_relation_check(spec: IntegralSpec, path_plus: ComplexPath | None = None,

@@ -37,12 +37,19 @@ __all__ = [
 ]
 
 
+# Richardson columns over the eps samples of fox_limit
+FOX_EXTRAPOLATION_ORDER = 6
+# default eps schedule: this many samples, halving from a quarter of the pole gap
+DEFAULT_EPS_TERMS = 12
+# trapezoid nodes on the circle of taylor_from_expr (at least 4 per coefficient)
+TAYLOR_SAMPLES = 512
+
+
 @dataclass(frozen=True)
 class EpsSchedule:
-    """Strictly decreasing positive eps samples plus an extrapolation order."""
+    """Strictly decreasing positive eps samples."""
 
     eps_values: tuple
-    extrapolation_order: int = 6
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps_values)
@@ -51,10 +58,9 @@ class EpsSchedule:
         object.__setattr__(self, "eps_values", eps)
 
     @classmethod
-    def default(cls, spec: IntegralSpec, terms: int = 12, ratio: float = 2.0,
-                extrapolation_order: int = 6) -> "EpsSchedule":
+    def default(cls, spec: IntegralSpec) -> "EpsSchedule":
         eps0 = spec.pole_gap / 4
-        return cls(tuple(eps0 * ratio ** (-k) for k in range(terms)), extrapolation_order)
+        return cls(tuple(eps0 * 2.0 ** (-k) for k in range(DEFAULT_EPS_TERMS)))
 
 
 @dataclass(frozen=True)
@@ -116,7 +122,7 @@ def fox_limit(spec: IntegralSpec, sched: EpsSchedule | None = None,
         quad_err_floor = min(quad_err_floor, left.err_estimate + right.err_estimate)
         converged = converged and left.converged and right.converged
     ext = richardson_zero(np.array(sched.eps_values), np.array(samples, dtype=np.complex128),
-                          max_order=sched.extrapolation_order)
+                          max_order=FOX_EXTRAPOLATION_ORDER)
     return {
         "value": ext.value.real,
         "err_estimate": max(ext.err_estimate, float(quad_err_floor)),
@@ -126,15 +132,15 @@ def fox_limit(spec: IntegralSpec, sched: EpsSchedule | None = None,
     }
 
 
-def series_Fn(coeffs: TaylorCoeffs, n: int, s: float, K: int | None = None):
+def series_Fn(coeffs: TaylorCoeffs, n: int, s: float):
     """Antiderivative-series kernel of the finite-part value at offset s.
 
     Sum of -c_k / ((n-k) s^(n-k)) for k < n and c_k s^(k-n) / (k-n) for
-    k > n, truncated at K coefficients. Returns (value, last_term_magnitude).
+    k > n, over every coefficient. Returns (value, last_term_magnitude).
     """
     if s == 0.0 and n >= 1:
         raise ZeroDivisionError("series kernel is singular at s = 0 for n >= 1")
-    K = len(coeffs) if K is None else min(K, len(coeffs))
+    K = len(coeffs)
     total = 0.0
     last = 0.0
     for k in range(n):
@@ -157,36 +163,32 @@ def _check_radius(coeffs: TaylorCoeffs, spec: IntegralSpec):
             f"series radius {coeffs.radius_check} does not cover the interval reach {reach}")
 
 
-def series_cpv(coeffs: TaylorCoeffs, spec: IntegralSpec, K: int | None = None) -> float:
+def series_cpv(coeffs: TaylorCoeffs, spec: IntegralSpec) -> float:
     """Closed-form principal value (n = 0) from the Taylor series about x0."""
     if spec.n != 0:
         raise ValueError("series_cpv applies to n = 0 only")
     _check_radius(coeffs, spec)
-    K = len(coeffs) if K is None else min(K, len(coeffs))
     sb, sa = spec.b - spec.x0, spec.a - spec.x0
     total = coeffs.c[0] * (math.log(sb) - math.log(-sa))
-    for k in range(1, K):
+    for k in range(1, len(coeffs)):
         total += coeffs.c[k] * (sb ** k - sa ** k) / k
     return total
 
 
-def series_fpi(coeffs: TaylorCoeffs, spec: IntegralSpec, K: int | None = None) -> float:
+def series_fpi(coeffs: TaylorCoeffs, spec: IntegralSpec) -> float:
     """Closed-form finite-part value (n >= 1) from the Taylor series about x0."""
     if spec.n < 1:
         raise ValueError("series_fpi applies to n >= 1; use series_cpv for n = 0")
     _check_radius(coeffs, spec)
-    K = len(coeffs) if K is None else min(K, len(coeffs))
-    if K < spec.n + 2:
-        raise ValueError(f"need at least n+2 = {spec.n + 2} coefficients, have {K}")
+    if len(coeffs) < spec.n + 2:
+        raise ValueError(f"need at least n+2 = {spec.n + 2} coefficients, have {len(coeffs)}")
     sb, sa = spec.b - spec.x0, spec.a - spec.x0
-    fb, _ = series_Fn(coeffs, spec.n, sb, K)
-    fa, _ = series_Fn(coeffs, spec.n, sa, K)
+    fb, _ = series_Fn(coeffs, spec.n, sb)
+    fa, _ = series_Fn(coeffs, spec.n, sa)
     return fb - fa + coeffs.c[spec.n] * (math.log(sb) - math.log(-sa))
 
 
-def taylor_from_expr(spec: IntegralSpec, K: int = 64,
-                     cfg: QuadConfig | None = None,
-                     samples: int = 512) -> TaylorCoeffs:
+def taylor_from_expr(spec: IntegralSpec, K: int = 64) -> TaylorCoeffs:
     """Taylor coefficients about x0 by uniform sampling of the Cauchy integral
     on a circle (trapezoid rule on the circle is spectrally accurate).
 
@@ -203,7 +205,7 @@ def taylor_from_expr(spec: IntegralSpec, K: int = 64,
         radius = min(radius, admissible)
     if radius <= 0:
         raise ValueError("no admissible sampling circle about x0")
-    m = max(samples, 4 * K)
+    m = max(TAYLOR_SAMPLES, 4 * K)
     theta = 2 * np.pi * np.arange(m) / m
     z = spec.x0 + radius * np.exp(1j * theta)
     fz = evaluate(spec.f, z)

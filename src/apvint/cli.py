@@ -12,8 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
-import os
 import sys
 
 from . import classical, spf
@@ -99,10 +97,8 @@ def _build_problem(args) -> tuple[IntegralSpec, QuadConfig]:
     violation = validate_region(decl, spec)
     if violation is not None:
         raise CliError(f"analyticity region violation: {violation}")
-    max_subdiv = int(os.environ.get("APV_MAX_SUBDIV", 2000))
     try:
-        cfg = QuadConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol,
-                         max_subdivisions=max_subdiv)
+        cfg = QuadConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     return spec, cfg
@@ -110,8 +106,11 @@ def _build_problem(args) -> tuple[IntegralSpec, QuadConfig]:
 
 def _contour_paths(args, spec: IntegralSpec):
     if args.path_file:
-        with open(args.path_file) as fh:
-            loaded = path_from_dict(json.load(fh))
+        try:
+            with open(args.path_file) as fh:
+                loaded = path_from_dict(json.load(fh))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise CliError(f"--path-file {args.path_file}: {type(exc).__name__}: {exc}") from exc
         if loaded.side == "above":
             return loaded, loaded.conjugate()
         return loaded.conjugate(), loaded
@@ -144,7 +143,7 @@ def _run_routes(args, spec: IntegralSpec, cfg: QuadConfig) -> dict:
             results[name] = {"value": out["value"], "err_estimate": out["err_estimate"],
                              "evals": 0, "converged": out["converged"]}
         elif name == "series":
-            coeffs = classical.taylor_from_expr(spec, cfg=cfg)
+            coeffs = classical.taylor_from_expr(spec)
             value = (classical.series_cpv(coeffs, spec) if spec.n == 0
                      else classical.series_fpi(coeffs, spec))
             results[name] = {"value": value, "err_estimate": 1e-14, "evals": 0,

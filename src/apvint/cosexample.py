@@ -17,7 +17,7 @@ import numpy as np
 
 from .apv import apv_average
 from .expr import parse
-from .paths import IntegralSpec, semicircle_bulge_path
+from .paths import IntegralSpec, semicircle_path
 from .quadrature import QuadConfig, integrate_function
 
 __all__ = [
@@ -73,8 +73,8 @@ def cos_problem(n: int) -> IntegralSpec:
 def cos_apv_reference(n: int, cfg: QuadConfig | None = None) -> float:
     """Full contour-average value on unit semicircle bulge paths."""
     spec = cos_problem(n)
-    plus = semicircle_bulge_path(spec, 1.0, "above")
-    minus = semicircle_bulge_path(spec, 1.0, "below")
+    plus = semicircle_path(spec, 1.0, "above")
+    minus = semicircle_path(spec, 1.0, "below")
     return apv_average(spec, plus, minus, cfg).value
 
 

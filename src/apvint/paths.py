@@ -24,7 +24,6 @@ __all__ = [
     "Arc",
     "ComplexPath",
     "semicircle_path",
-    "semicircle_bulge_path",
     "classify_side",
     "path_to_dict",
     "path_from_dict",
@@ -233,28 +232,11 @@ class ComplexPath:
 # Constructors
 
 
-def semicircle_path(spec: IntegralSpec, eps: float, side: str) -> ComplexPath:
-    """Real segments with a radius-eps semicircular indentation over/under x0."""
-    gap = spec.pole_gap
-    if not (0 < eps < gap):
-        raise ValueError(f"eps must lie in (0, {gap}), got {eps}")
-    _check_clearance(spec, eps)
-    _check_pole_margins(spec, eps)
-    arc = Arc(complex(spec.x0), eps, math.pi, 0.0) if side == "above" else \
-        Arc(complex(spec.x0), eps, -math.pi, 0.0)
-    segments = (
-        Line(complex(spec.a), complex(spec.x0 - eps)),
-        arc,
-        Line(complex(spec.x0 + eps), complex(spec.b)),
-    )
-    return ComplexPath(segments, side)
+def semicircle_path(spec: IntegralSpec, radius: float, side: str) -> ComplexPath:
+    """Real segments joined by a semicircle of the given radius over/under x0.
 
-
-def semicircle_bulge_path(spec: IntegralSpec, radius: float, side: str) -> ComplexPath:
-    """Large semicircular bulge centered at x0, joined to a and b by real lines.
-
-    With radius equal to the pole gap on a symmetric interval the path is the
-    bare arc; degenerate line pieces are dropped.
+    The radius may reach the pole gap, where the semicircle bulges to an
+    endpoint and the real piece on that side, of zero length, is dropped.
     """
     gap = spec.pole_gap
     if not (0 < radius <= gap):
@@ -349,7 +331,7 @@ def _line_line(l1, l2, tol):
         t1 = t0 + (s.real * r.real + s.imag * r.imag) / L2
         lo, hi = sorted((t0, t1))
         lo, hi = max(lo, 0.0), min(hi, 1.0)
-        if hi - lo > tol / max(abs(r), 1e-300):
+        if hi >= lo:  # overlapping or touching at one point
             return [p + 0.5 * (lo + hi) * r]
         return []
     qp = q - p

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .apv import apv_average
 from .extrapolate import richardson_zero
 from .paths import ComplexPath, IntegralSpec
-from .quadrature import (QuadConfig, QuadResult, integrate_function, integrate_path,
-                         singular_integrand)
+from .quadrature import QuadConfig, QuadResult, integrate_function, singular_integrand
 
 __all__ = [
     "BoundaryReport",
@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 Y_FLOOR_FACTOR = 1e-4  # conditioning floor for the y schedule, times (b - a)
+EXTRAPOLATION_ORDER = 4  # Richardson columns over the y schedule
 
 
 @dataclass(frozen=True)
@@ -87,8 +88,7 @@ def default_y_schedule(spec: IntegralSpec) -> tuple:
 
 
 def boundary_values(spec: IntegralSpec, y_schedule=None,
-                    cfg: QuadConfig | None = None,
-                    extrapolation_order: int = 4) -> BoundaryReport:
+                    cfg: QuadConfig | None = None) -> BoundaryReport:
     """Extrapolate Phi(x0 +/- i y) to y = 0 separately for each sign."""
     ys = tuple(default_y_schedule(spec) if y_schedule is None else y_schedule)
     if not ys or any(y <= 0 for y in ys) or any(b >= a for a, b in zip(ys, ys[1:])):
@@ -106,8 +106,8 @@ def boundary_values(spec: IntegralSpec, y_schedule=None,
         lower.append(rl.value)
         evals += ru.evals + rl.evals
         converged = converged and ru.converged and rl.converged
-    eu = richardson_zero(np.array(ys), np.array(upper), max_order=extrapolation_order)
-    el = richardson_zero(np.array(ys), np.array(lower), max_order=extrapolation_order)
+    eu = richardson_zero(np.array(ys), np.array(upper), max_order=EXTRAPOLATION_ORDER)
+    el = richardson_zero(np.array(ys), np.array(lower), max_order=EXTRAPOLATION_ORDER)
     return BoundaryReport(
         phi_plus=eu.value,
         phi_minus=el.value,
@@ -121,18 +121,18 @@ def boundary_values(spec: IntegralSpec, y_schedule=None,
 def spf_identity_check(spec: IntegralSpec, path_plus: ComplexPath,
                        path_minus: ComplexPath, y_schedule=None,
                        cfg: QuadConfig | None = None) -> dict:
-    """Compare boundary values against the opposite-side contour integrals."""
+    """Compare boundary values against the opposite-side contour integrals,
+    read from the contour-average route (which checks each path's side)."""
+    contours = apv_average(spec, path_plus, path_minus, cfg)
     report = boundary_values(spec, y_schedule, cfg)
-    rp = integrate_path(spec, path_plus, cfg)
-    rm = integrate_path(spec, path_minus, cfg)
-    d1 = abs(report.phi_plus - rm.value)
-    d2 = abs(report.phi_minus - rp.value)
+    d1 = abs(report.phi_plus - contours.int_minus)
+    d2 = abs(report.phi_minus - contours.int_plus)
     return {
         "max_abs_diff": max(d1, d2),
         "phi_plus": report.phi_plus,
         "phi_minus": report.phi_minus,
-        "int_plus": rp.value,
-        "int_minus": rm.value,
+        "int_plus": contours.int_plus,
+        "int_minus": contours.int_minus,
         "extrapolation_err": report.extrapolation_err,
     }
 

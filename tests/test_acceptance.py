@@ -17,7 +17,7 @@ from apvint.apv import apv_average, apv_lower, apv_upper, default_paths, jump_re
 from apvint.classical import fox_limit, series_cpv, series_fpi, taylor_from_expr
 from apvint.cosexample import cos_apv_reference, cos_fpi_asymptotic
 from apvint.expr import evaluate, parse, to_source
-from apvint.paths import classify_side, semicircle_bulge_path, semicircle_path
+from apvint.paths import classify_side, semicircle_path
 from apvint.quadrature import QuadConfig, integrate_real_segment
 from apvint.spf import boundary_values, phi_at
 
@@ -91,8 +91,8 @@ def test_criterion_06_path_independence():
                                       semicircle_path(spec, eps, "below")).value)
         r = 0.8 * spec.pole_gap
         values.append(apv_average(spec,
-                                  semicircle_bulge_path(spec, r, "above"),
-                                  semicircle_bulge_path(spec, r, "below")).value)
+                                  semicircle_path(spec, r, "above"),
+                                  semicircle_path(spec, r, "below")).value)
         for i in range(len(values)):
             for j in range(i + 1, len(values)):
                 worst = max(worst, abs(values[i] - values[j]))

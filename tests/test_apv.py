@@ -4,7 +4,7 @@ import pytest
 
 from apvint.apv import (apv_average, apv_lower, apv_upper, default_paths,
                         derivative_at_pole, jump_relation_check, report_to_dict)
-from apvint.paths import Arc, ComplexPath, Line, semicircle_bulge_path, semicircle_path
+from apvint.paths import Arc, ComplexPath, Line, semicircle_path
 from apvint.quadrature import QuadConfig
 
 from conftest import COS_FPI_N1, COS_FPI_N3, exp_cpv_series, make_spec
@@ -34,8 +34,8 @@ class TestDerivativeAtPole:
 class TestAverageRoute:
     def test_cos_cpv_vanishes(self):
         spec = make_spec("cos(z)", -1, 1, 0, 0)
-        plus = semicircle_bulge_path(spec, 1.0, "above")
-        minus = semicircle_bulge_path(spec, 1.0, "below")
+        plus = semicircle_path(spec, 1.0, "above")
+        minus = semicircle_path(spec, 1.0, "below")
         rep = apv_average(spec, plus, minus)
         assert rep.value == pytest.approx(0.0, abs=1e-10)
         assert rep.route == "average"
@@ -151,8 +151,8 @@ class TestInvariants:
         spec = make_spec("sinh(z)", -1, 1, 0, 2)
         small = apv_average(spec, semicircle_path(spec, 0.1, "above"),
                             semicircle_path(spec, 0.1, "below"))
-        bulge = apv_average(spec, semicircle_bulge_path(spec, 0.9, "above"),
-                            semicircle_bulge_path(spec, 0.9, "below"))
+        bulge = apv_average(spec, semicircle_path(spec, 0.9, "above"),
+                            semicircle_path(spec, 0.9, "below"))
         assert small.value == pytest.approx(bulge.value, abs=1e-9)
 
     def test_eps_independence(self):

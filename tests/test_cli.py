@@ -1,14 +1,16 @@
 import csv
+import functools
 import io
 import json
 import math
 
 import pytest
 
+from apvint import cli
 from apvint.cli import (EXIT_DISAGREE, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
                         build_parser, main)
 from apvint.paths import Arc, ComplexPath, Line, path_to_dict, semicircle_path
-from apvint.quadrature import integrate_path
+from apvint.quadrature import QuadConfig, integrate_path
 
 from conftest import COS_FPI_N1, make_spec
 
@@ -62,7 +64,7 @@ class TestExitCodes:
         assert rc == EXIT_USAGE
 
     def test_nonconvergence_exit(self, capsys, monkeypatch):
-        monkeypatch.setenv("APV_MAX_SUBDIV", "2")
+        monkeypatch.setattr(cli, "QuadConfig", functools.partial(QuadConfig, max_subdivisions=2))
         rc, _, _ = run_cli(capsys, "--f", "cos(20*z)", "-a", "-1", "-b", "1",
                            "--x0", "0", "-n", "1", "--routes", "average",
                            "--rel-tol", "1e-14", "--abs-tol", "1e-15")
@@ -150,6 +152,23 @@ class TestPathInputs:
         assert rc == EXIT_USAGE
         assert out == ""
         assert "encloses declared pole 1j" in err
+
+    def test_missing_path_file(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        rc, out, err = run_cli(capsys, "--f", "cos(z)", "-a", "-1", "-b", "1", "--x0", "0",
+                               "--path-file", str(missing))
+        assert rc == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: --path-file {missing}: FileNotFoundError")
+
+    def test_path_file_without_segments(self, capsys, tmp_path):
+        pf = tmp_path / "path.json"
+        pf.write_text(json.dumps({"side": "above"}))
+        rc, out, err = run_cli(capsys, "--f", "cos(z)", "-a", "-1", "-b", "1", "--x0", "0",
+                               "--path-file", str(pf))
+        assert rc == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: --path-file {pf}: KeyError: 'segments'")
 
     def test_path_eps_reaching_declared_pole(self, capsys):
         rc, _, err = run_cli(capsys, "--f", "1/(1+4*z^2)", "--poles", "0.5i,-0.5i",

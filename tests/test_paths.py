@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apvint.paths import (Arc, ComplexPath, Line, _self_intersects, classify_side,
-                          path_from_dict, path_to_dict, semicircle_bulge_path,
-                          semicircle_path)
+                          path_from_dict, path_to_dict, semicircle_path)
 
 from conftest import make_spec
 
@@ -57,32 +56,37 @@ class TestSemicirclePath:
 
 class TestBulgePath:
     def test_unit_radius_single_arc(self, unit_spec):
-        p = semicircle_bulge_path(unit_spec, 1.0, "above")
+        p = semicircle_path(unit_spec, 1.0, "above")
         assert len(p.segments) == 1
         arc = p.segments[0]
         assert (arc.theta_start, arc.theta_end) == (math.pi, 0.0)
 
     def test_below_unit_radius(self, unit_spec):
-        p = semicircle_bulge_path(unit_spec, 1.0, "below")
+        p = semicircle_path(unit_spec, 1.0, "below")
         assert p.segments[0].theta_start == -math.pi
 
     def test_wide_interval_gets_line_pieces(self):
         spec = make_spec("cos(z)", -2, 2, 0, 0)
-        p = semicircle_bulge_path(spec, 1.0, "above")
+        p = semicircle_path(spec, 1.0, "above")
         assert len(p.segments) == 3
         assert isinstance(p.segments[0], Line)
         assert isinstance(p.segments[2], Line)
 
+    def test_radius_equal_to_gap_drops_only_the_empty_piece(self):
+        spec = make_spec("cos(z)", -1, 2, 0, 0)
+        p = semicircle_path(spec, 1.0, "above")
+        assert p.segments == (Arc(0j, 1.0, math.pi, 0.0), Line(1 + 0j, 2 + 0j))
+
     def test_radius_too_large(self, unit_spec):
         with pytest.raises(ValueError):
-            semicircle_bulge_path(unit_spec, 1.5, "above")
+            semicircle_path(unit_spec, 1.5, "above")
 
 
 class TestClassifySide:
     def test_round_trip_constructors(self, unit_spec):
         for side in ("above", "below"):
             assert classify_side(semicircle_path(unit_spec, 0.5, side), 0.0) == side
-            assert classify_side(semicircle_bulge_path(unit_spec, 1.0, side), 0.0) == side
+            assert classify_side(semicircle_path(unit_spec, 1.0, side), 0.0) == side
 
     def test_path_through_pole_invalid(self):
         p = ComplexPath((Line(-1 + 0j, 1 + 0j),), "above")
@@ -97,6 +101,22 @@ class TestClassifySide:
         )
         p = ComplexPath(segs, "above")
         assert classify_side(p, 0.0) == "invalid"
+
+    def test_collinear_pieces_touching_at_a_point_self_intersect(self):
+        # the path revisits 0 after a full clockwise circle
+        p = ComplexPath((Line(-1 + 0j, 0j), Arc(-1 + 0j, 1.0, 0.0, -2 * math.pi),
+                         Line(0j, 2 + 0j)), "above")
+        assert _self_intersects(p)
+
+    @pytest.mark.parametrize("radius", [1e-6, 1e-5])
+    @pytest.mark.parametrize("side", ["above", "below"])
+    def test_tiny_indentation_far_from_origin_is_not_a_touch(self, radius, side):
+        # the self-intersection tolerance (2e-5 here) is at least the 2r gap
+        # between the two real pieces, which must not count as touching
+        spec = make_spec("cos(z)", 1e4, 1e4 + 1, 1e4 + 0.5, 0)
+        p = semicircle_path(spec, radius, side)
+        assert not _self_intersects(p)
+        assert classify_side(p, spec.x0) == side
 
     def test_offset_rectangle_above(self):
         segs = (
@@ -147,8 +167,9 @@ class TestPathValidation:
             ComplexPath((Line(-1 + 0j, 1 + 0j),), "sideways")
 
     def test_conjugate_mirrors_to_other_side(self, unit_spec):
-        for make, size in ((semicircle_path, 0.3), (semicircle_bulge_path, 1.0)):
-            above, below = make(unit_spec, size, "above"), make(unit_spec, size, "below")
+        for size in (0.3, 1.0):
+            above = semicircle_path(unit_spec, size, "above")
+            below = semicircle_path(unit_spec, size, "below")
             assert above.conjugate() == below
             assert below.conjugate() == above
 
@@ -169,7 +190,7 @@ class TestJson:
         assert q == p
 
     def test_schema_fields(self, unit_spec):
-        doc = path_to_dict(semicircle_bulge_path(unit_spec, 1.0, "below"))
+        doc = path_to_dict(semicircle_path(unit_spec, 1.0, "below"))
         assert doc["side"] == "below"
         seg = doc["segments"][0]
         assert seg["type"] == "arc"

@@ -55,10 +55,8 @@ class TestPathIntegral:
         assert r.value == pytest.approx(math.log(2.0) - 1j * math.pi, abs=1e-10)
 
     def test_cos_unit_semicircle_n1(self, cos_spec_n1):
-        from apvint.paths import semicircle_bulge_path
-
         from conftest import COS_FPI_N1
-        path = semicircle_bulge_path(cos_spec_n1, 1.0, "above")
+        path = semicircle_path(cos_spec_n1, 1.0, "above")
         r = integrate_path(cos_spec_n1, path)
         # Int+ = FPI - i*pi*f'(0)/1! and f'(0) = 0
         assert r.value == pytest.approx(COS_FPI_N1, abs=1e-9)
@@ -99,10 +97,9 @@ class TestProperties:
             whole.err_estimate + left.err_estimate + right.err_estimate + 1e-14
 
     def test_path_independence_same_side(self, cos_spec_n1):
-        from apvint.paths import semicircle_bulge_path
         p1 = semicircle_path(cos_spec_n1, 0.1, "above")
         p2 = semicircle_path(cos_spec_n1, 0.45, "above")
-        p3 = semicircle_bulge_path(cos_spec_n1, 0.9, "above")
+        p3 = semicircle_path(cos_spec_n1, 0.9, "above")
         values = [integrate_path(cos_spec_n1, p).value for p in (p1, p2, p3)]
         for i in range(3):
             for j in range(i + 1, 3):

@@ -95,6 +95,12 @@ class TestIdentities:
         out = spf_identity_check(spec, plus, minus)
         assert out["max_abs_diff"] <= 1e-6
 
+    def test_paths_on_the_wrong_side_rejected(self):
+        spec = make_spec("cos(z)", -1, 1, 0, 1)
+        plus, minus = default_paths(spec)
+        with pytest.raises(ValueError, match="classified"):
+            spf_identity_check(spec, minus, plus)
+
     def test_average_identity(self):
         spec = make_spec("exp(z)", -1, 1, 0, 1)
         rep = boundary_values(spec)
