@@ -4,14 +4,18 @@ Each path segment is mapped to a real parameter interval (lines by an affine
 map, arcs by angle) and integrated with an embedded (G7, K15) pair. The error
 of a subinterval is the |K15 - G7| difference; the worst subinterval is
 bisected until the global tolerance is met or the subdivision budget runs
-out. Results are reduced in a fixed order (sorted by left endpoint) so that
-outputs are reproducible. Alongside the value, the integral of |g| |dz| is
-accumulated as an absolute-convergence diagnostic.
+out. The stopping test reads running totals of value and error over all
+subintervals, kept as compensated (TwoSum) sums with an O(1) update per
+bisection. The returned result is summed afresh in a fixed order (sorted by
+left endpoint) so that outputs are reproducible. Alongside the value, the
+integral of |g| |dz| is accumulated as an absolute-convergence diagnostic.
 """
 
 from __future__ import annotations
 
+import cmath
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,14 +115,26 @@ def _kronrod_panel(g, lo, hi):
     mid = 0.5 * (hi + lo)
     x = mid + half * _XGK
     y = g(x)
-    k15 = half * np.sum(_WGK * y)
-    g7 = half * np.sum(_WG * y[1::2])
-    abs15 = half * float(np.sum(_WGK * np.abs(y)))
+    k15 = half * np.add.reduce(_WGK * y)
+    g7 = half * np.add.reduce(_WG * y[1::2])
+    abs15 = half * float(np.add.reduce(_WGK * np.abs(y)))
     return k15, abs(k15 - g7), abs15
 
 
+def _two_sum(s, c, x):
+    """Add x to the compensated sum (s, c) with an error-free TwoSum (Knuth)."""
+    t = s + x
+    bb = t - s
+    return t, c + ((s - (t - bb)) + (x - bb))
+
+
 def integrate_function(g, lo: float, hi: float, cfg: QuadConfig) -> QuadResult:
-    """Adaptively integrate the complex-valued vectorized g over [lo, hi]."""
+    """Adaptively integrate the complex-valued vectorized g over [lo, hi].
+
+    Each bisection updates the running value and error totals of the heap in
+    O(1), as compensated (sum, correction) pairs; they decide only when to
+    stop. The result is summed afresh in fixed left-endpoint order.
+    """
     if lo == hi:
         return QuadResult(0j, 0.0, 0, True, 0.0)
     sign = 1.0
@@ -129,19 +145,29 @@ def integrate_function(g, lo: float, hi: float, cfg: QuadConfig) -> QuadResult:
     evals = 15
     # heap of (-err, left, right, value, err, absint)
     heap = [(-err, lo, hi, value, err, absint)]
+    total, total_c = value, 0.0
+    total_err, err_c = err, 0.0
     nsub = 1
     while nsub < cfg.max_subdivisions:
-        total = sum(item[3] for item in heap)
-        total_err = sum(item[4] for item in heap)
-        if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+        est, est_err = total + total_c, total_err + err_c
+        if not (cmath.isfinite(est) and math.isfinite(est_err)):
+            # a non-finite panel poisons the corrections for good, even after
+            # it is bisected away: re-sum the heap as it stands
+            total, total_c = sum(item[3] for item in heap), 0.0
+            total_err, err_c = sum(item[4] for item in heap), 0.0
+            est, est_err = total, total_err
+        if est_err <= max(cfg.abs_tol, cfg.rel_tol * abs(est)):
             break
-        _, a, b, _, _, _ = heapq.heappop(heap)
+        _, a, b, v, e, _ = heapq.heappop(heap)
         m = 0.5 * (a + b)
         v1, e1, s1 = _kronrod_panel(g, a, m)
         v2, e2, s2 = _kronrod_panel(g, m, b)
         evals += 30
         heapq.heappush(heap, (-e1, a, m, v1, e1, s1))
         heapq.heappush(heap, (-e2, m, b, v2, e2, s2))
+        for dv, de in ((v1, e1), (v2, e2), (-v, -e)):
+            total, total_c = _two_sum(total, total_c, dv)
+            total_err, err_c = _two_sum(total_err, err_c, de)
         nsub += 1
     intervals = sorted(heap, key=lambda item: item[1])
     value = sum(item[3] for item in intervals)

@@ -64,10 +64,13 @@ class TestExitCodes:
         assert rc == EXIT_USAGE
 
     def test_nonconvergence_exit(self, capsys, monkeypatch):
+        # at the default tolerances only the forced subdivision cap fails it
+        argv = ("--f", "cos(20*z)", "-a", "-1", "-b", "1",
+                "--x0", "0", "-n", "1", "--routes", "average")
+        rc, _, _ = run_cli(capsys, *argv)
+        assert rc == EXIT_OK
         monkeypatch.setattr(cli, "QuadConfig", functools.partial(QuadConfig, max_subdivisions=2))
-        rc, _, _ = run_cli(capsys, "--f", "cos(20*z)", "-a", "-1", "-b", "1",
-                           "--x0", "0", "-n", "1", "--routes", "average",
-                           "--rel-tol", "1e-14", "--abs-tol", "1e-15")
+        rc, _, _ = run_cli(capsys, *argv)
         assert rc == EXIT_NUMERICAL
 
 

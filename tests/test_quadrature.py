@@ -1,12 +1,14 @@
+import heapq
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apvint.paths import Arc, ComplexPath, Line, semicircle_path
-from apvint.quadrature import (QuadConfig, integrate_function, integrate_on_path,
+from apvint.quadrature import (_WG, _WGK, _XGK, QuadConfig, QuadResult,
+                               integrate_function, integrate_on_path,
                                integrate_path, integrate_real_segment)
 
 from conftest import make_spec
@@ -142,3 +144,98 @@ class TestConfig:
         r = integrate_real_segment(spec, 0.5, 1.0, cfg)
         assert r.converged
         assert r.err_estimate <= max(cfg.abs_tol, cfg.rel_tol * abs(r.value))
+
+
+def _reference_integrate(g, lo, hi, cfg):
+    """The adaptive loop with its heap re-summed in heap order before every
+    bisection and each panel reduced by np.sum: the reference that
+    integrate_function's running totals must match bit for bit."""
+    def panel(a, b):
+        half, mid = 0.5 * (b - a), 0.5 * (b + a)
+        y = g(mid + half * _XGK)
+        k15 = half * np.sum(_WGK * y)
+        g7 = half * np.sum(_WG * y[1::2])
+        return k15, abs(k15 - g7), half * float(np.sum(_WGK * np.abs(y)))
+
+    if lo == hi:
+        return QuadResult(0j, 0.0, 0, True, 0.0)
+    sign = 1.0
+    if hi < lo:
+        lo, hi, sign = hi, lo, -1.0
+    value, err, absint = panel(lo, hi)
+    evals = 15
+    heap = [(-err, lo, hi, value, err, absint)]
+    nsub = 1
+    while nsub < cfg.max_subdivisions:
+        total = sum(item[3] for item in heap)
+        total_err = sum(item[4] for item in heap)
+        if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+            break
+        _, a, b, _, _, _ = heapq.heappop(heap)
+        m = 0.5 * (a + b)
+        for left, right in ((a, m), (m, b)):
+            v, e, s = panel(left, right)
+            heapq.heappush(heap, (-e, left, right, v, e, s))
+        evals += 30
+        nsub += 1
+    intervals = sorted(heap, key=lambda item: item[1])
+    value = sum(item[3] for item in intervals)
+    err = float(sum(item[4] for item in intervals))
+    absint = float(sum(item[5] for item in intervals))
+    converged = err <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
+    return QuadResult(sign * complex(value), err, evals, converged, absint)
+
+
+def _assert_bit_identical(g, lo, hi, cfg):
+    new = integrate_function(g, lo, hi, cfg)
+    old = _reference_integrate(g, lo, hi, cfg)
+    # repr, so that NaN matches NaN and -0.0 differs from 0.0
+    assert repr(new) == repr(old)
+    return new
+
+
+_TOLS = st.sampled_from([(1e-6, 1e-8), (1e-10, 1e-12), (1e-13, 1e-14), (1e-14, 1e-16)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["peak", "oscillating", "sinc"]), c=st.floats(0.5, 40.0),
+       lo=st.floats(-2.0, 0.0), width=st.floats(0.05, 4.0), tols=_TOLS,
+       cap=st.integers(1, 400), reverse=st.booleans())
+# plain (uncompensated) running totals stop these one bisection early or late
+@example(kind="oscillating", c=31.0, lo=0.0, width=1.0, tols=(1e-14, 1e-16), cap=400,
+         reverse=False)
+@example(kind="oscillating", c=32.0, lo=0.0, width=1.0, tols=(1e-14, 1e-16), cap=400,
+         reverse=True)
+def test_running_totals_match_heap_resum(kind, c, lo, width, tols, cap, reverse):
+    """Smooth integrands, and sin(t)/t whose node at 0 gives a transient NaN
+    panel when the interval is symmetric."""
+    if kind == "peak":
+        g = lambda t: 1.0 / (1.0 + (c * (t - 0.3)) ** 2) + 1j * np.exp(-t)
+    elif kind == "oscillating":
+        g = lambda t: np.exp(1j * c * t) * np.cos(t)
+    else:
+        g = lambda t: np.sin(c * t) / t + 0j
+        lo = -width / 2
+    hi = lo + width
+    if reverse:
+        lo, hi = hi, lo
+    cfg = QuadConfig(rel_tol=tols[0], abs_tol=tols[1], max_subdivisions=cap)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        _assert_bit_identical(g, lo, hi, cfg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(radius=st.floats(0.3, 0.8), cap=st.integers(2, 60), reverse=st.booleans())
+def test_running_totals_match_at_cap_on_cancelling_circle(radius, cap, reverse):
+    """cos(z)/z^22 around a circle: the integral is 0 and the terms are
+    ~radius^-21, so the loop runs to the forced cap."""
+    n = 21
+
+    def g(t):
+        z = radius * np.exp(1j * t)
+        return np.cos(z) / z ** (n + 1) * 1j * z
+
+    lo, hi = (2 * math.pi, 0.0) if reverse else (0.0, 2 * math.pi)
+    r = _assert_bit_identical(g, lo, hi, QuadConfig(max_subdivisions=cap))
+    assert r.evals == 15 + 30 * (cap - 1)
+    assert not r.converged
