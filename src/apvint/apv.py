@@ -41,8 +41,8 @@ class ApvReport:
 
 
 def _circle_path(x0: float, radius: float) -> ComplexPath:
-    # full positively-oriented circle; 'side' is irrelevant here
-    return ComplexPath((Arc(complex(x0), radius, -math.pi, math.pi),), "above")
+    # full positively-oriented circle
+    return ComplexPath((Arc(complex(x0), radius, -math.pi, math.pi),))
 
 
 def default_circle_radius(spec: IntegralSpec) -> float:

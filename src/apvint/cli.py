@@ -4,7 +4,7 @@ Parses a problem statement, runs the requested routes, cross-checks them
 pairwise and emits a text, JSON or CSV report.
 
 Exit codes: 0 all routes agree, 1 usage or parse error, 2 route disagreement,
-3 numerical failure (non-convergence).
+3 numerical failure (non-convergence, or a value that is not finite).
 """
 
 from __future__ import annotations
@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from . import classical, spf
 from .apv import (apv_average, apv_lower, apv_upper, default_paths,
                   report_to_dict)
 from .expr import AnalyticityDecl, ParseError, parse, validate_region
-from .paths import IntegralSpec, path_from_dict, semicircle_path
+from .paths import IntegralSpec, classify_side, path_from_dict, semicircle_path
 from .quadrature import QuadConfig, singular_integrand
 
 ROUTES = ("average", "upper", "lower", "fox", "series", "spf")
@@ -57,7 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path-eps", type=float, default=None,
                    help="semicircle indentation radius for the contour routes")
     p.add_argument("--path-file", default=None, metavar="FILE.json",
-                   help="JSON path description to use for the above-side contour")
+                   help="JSON path description of one contour; its side of x0 is read "
+                        "from its winding, and its mirror image is the other contour")
     p.add_argument("--poles", default=None,
                    help="comma-separated declared poles of f, e.g. 'i,-i,2+1i'")
     p.add_argument("--rel-tol", type=float, default=1e-10)
@@ -111,9 +113,9 @@ def _contour_paths(args, spec: IntegralSpec):
                 loaded = path_from_dict(json.load(fh))
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise CliError(f"--path-file {args.path_file}: {type(exc).__name__}: {exc}") from exc
-        if loaded.side == "above":
-            return loaded, loaded.conjugate()
-        return loaded.conjugate(), loaded
+        if classify_side(loaded, spec.x0) == "below":
+            return loaded.conjugate(), loaded
+        return loaded, loaded.conjugate()
     if args.path_eps is not None:
         try:
             return (semicircle_path(spec, args.path_eps, "above"),
@@ -154,6 +156,8 @@ def _run_routes(args, spec: IntegralSpec, cfg: QuadConfig) -> dict:
             results[name] = {"value": value, "err_estimate": rep.extrapolation_err,
                              "evals": rep.evals, "converged": rep.converged,
                              "report": spf.boundary_report_to_dict(rep)}
+    for r in results.values():  # a value that is not finite has not converged
+        r["converged"] = r["converged"] and math.isfinite(r["value"])
     return results
 
 
@@ -168,7 +172,7 @@ def _agreement(results: dict) -> dict:
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
             d = abs(results[names[i]]["value"] - results[names[j]]["value"])
-            if d > worst:
+            if d > worst or math.isnan(d):  # a NaN difference stays the worst
                 worst, worst_pair = d, [names[i], names[j]]
     return {"ok": worst <= threshold, "worst_pair": worst_pair,
             "abs_diff": worst, "threshold": threshold}
@@ -235,7 +239,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     agreement = _agreement(results)

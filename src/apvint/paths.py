@@ -1,12 +1,15 @@
 """Piecewise line/arc integration paths in the complex plane.
 
-A path runs from a to b on the real axis while avoiding the interior pole x0,
-passing it either above or below. Sides are classified exactly from the turn
-of arg(z - x0) along the path, summed segment by segment in closed form: a
-path from a to b turns by -pi about x0 when it passes above and by +pi when it
-passes below. The same turn, closed by the straight return from b to a, gives
-the winding number of the loop about any other point, such as a declared pole
-of f that the path must not cut off.
+A path is geometry only: line and arc segments joined end to end, from a to b
+on the real axis, avoiding the interior pole x0. Which side of x0 it passes is
+read from the turn of arg(z - x0) along it, summed segment by segment in
+closed form: a path from a to b turns by -pi about x0 when it passes above and
+by +pi when it passes below. The same turn, closed by the straight return from
+b to a, gives the winding number of the loop about any other point, such as a
+declared pole of f that the path must not cut off.
+
+By the residue theorem these winding numbers are all that fix a contour
+integral's value, so a path may cross itself: crossing points change neither.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ __all__ = [
 ]
 
 JOIN_TOL = 1e-12
+ANGLE_TOL = 1e-12  # slack, in radians, when testing whether an arc spans an angle
 
 # Minimum pole clearance, as a fraction of (b - a). Purely a conditioning
 # floor for the quadrature, not a restriction of the underlying theory.
@@ -157,14 +161,14 @@ class Arc:
         lo = abs(sweep) / 2 - math.pi / 2
         return sign * (lo + (sign * angle - lo) % (2 * math.pi))
 
-    def contains_angle(self, theta: float, tol: float = 1e-12) -> bool:
+    def contains_angle(self, theta: float) -> bool:
         lo, hi = sorted((self.theta_start, self.theta_end))
         # normalize theta into [lo - 2pi, hi + 2pi] window
-        while theta < lo - tol:
+        while theta < lo - ANGLE_TOL:
             theta += 2 * math.pi
-        while theta > hi + tol:
+        while theta > hi + ANGLE_TOL:
             theta -= 2 * math.pi
-        return lo - tol <= theta <= hi + tol
+        return lo - ANGLE_TOL <= theta <= hi + ANGLE_TOL
 
     def min_distance_to(self, p: complex) -> float:
         v = p - self.center
@@ -177,8 +181,6 @@ class Arc:
 
 Segment = Line | Arc
 
-_OPPOSITE = {"above": "below", "below": "above"}
-
 
 def _principal_angle(first: complex, last: complex, p: complex) -> float:
     w = (complex(last) - p) / (complex(first) - p)
@@ -190,11 +192,8 @@ class ComplexPath:
     """Ordered, continuously joined line/arc segments from a to b; immutable."""
 
     segments: tuple
-    side: str  # "above" | "below"
 
     def __post_init__(self):
-        if self.side not in ("above", "below"):
-            raise ValueError(f"side must be 'above' or 'below', got {self.side!r}")
         segs = tuple(self.segments)
         if not segs:
             raise ValueError("path needs at least one segment")
@@ -216,12 +215,11 @@ class ComplexPath:
         return min(seg.min_distance_to(p) for seg in self.segments)
 
     def reversed(self) -> "ComplexPath":
-        return ComplexPath(tuple(s.reversed() for s in reversed(self.segments)),
-                           _OPPOSITE[self.side])
+        return ComplexPath(tuple(s.reversed() for s in reversed(self.segments)))
 
     def conjugate(self) -> "ComplexPath":
         """Mirror image across the real axis, on the opposite side."""
-        return ComplexPath(tuple(s.conjugate() for s in self.segments), _OPPOSITE[self.side])
+        return ComplexPath(tuple(s.conjugate() for s in self.segments))
 
     def turn(self, p: complex) -> float:
         """Exact change of arg(z - p) along the path; p must lie off it."""
@@ -251,7 +249,7 @@ def semicircle_path(spec: IntegralSpec, radius: float, side: str) -> ComplexPath
     segments.append(arc)
     if spec.x0 + radius < spec.b:
         segments.append(Line(complex(spec.x0 + radius), complex(spec.b)))
-    return ComplexPath(tuple(segments), side)
+    return ComplexPath(tuple(segments))
 
 
 def _check_clearance(spec: IntegralSpec, closest: float):
@@ -276,124 +274,16 @@ def classify_side(path: ComplexPath, x0: float) -> str:
     """Return 'above', 'below' or 'invalid' for a path with real endpoints.
 
     A path from a to b turns by -pi about x0 when it passes above and by +pi
-    when it passes below. Paths touching x0 or self-intersecting are invalid.
+    when it passes below; any other turn, a path through x0 or an endpoint off
+    the real axis is invalid. The winding about x0 is the whole rule: a path
+    that crosses itself has the side its turn says.
     """
     a, b = path.start, path.end
     if abs(a.imag) > 1e-9 or abs(b.imag) > 1e-9:
         return "invalid"
     if path.min_distance_to(complex(x0)) <= 0.0:
         return "invalid"
-    if _self_intersects(path):
-        return "invalid"
     return {-1: "above", 1: "below"}.get(round(path.turn(x0) / math.pi), "invalid")
-
-
-# ---------------------------------------------------------------------------
-# Self-intersection tests (exact line/arc intersections, pairwise)
-
-
-def _self_intersects(path: ComplexPath) -> bool:
-    segs = path.segments
-    scale = max(1.0, max(abs(s.first) + abs(s.last) for s in segs))
-    tol = 1e-9 * scale
-    for i in range(len(segs)):
-        for j in range(i + 1, len(segs)):
-            pts = _segment_intersections(segs[i], segs[j], tol)
-            for p in pts:
-                if j == i + 1 and abs(p - complex(segs[i].last)) <= 10 * tol:
-                    continue  # shared joint between consecutive segments
-                return True
-    return False
-
-
-def _segment_intersections(s1, s2, tol):
-    if isinstance(s1, Line) and isinstance(s2, Line):
-        return _line_line(s1, s2, tol)
-    if isinstance(s1, Line) and isinstance(s2, Arc):
-        return _line_arc(s1, s2, tol)
-    if isinstance(s1, Arc) and isinstance(s2, Line):
-        return _line_arc(s2, s1, tol)
-    return _arc_arc(s1, s2, tol)
-
-
-def _line_line(l1, l2, tol):
-    p, r = l1.start, l1.end - l1.start
-    q, s = l2.start, l2.end - l2.start
-    cross = (r.real * s.imag - r.imag * s.real)
-    if abs(cross) < 1e-15 * (abs(r) * abs(s) + 1e-300):
-        # parallel: overlap check via projection
-        if abs((q - p).real * r.imag - (q - p).imag * r.real) > tol * max(abs(r), 1.0):
-            return []
-        L2 = abs(r) ** 2
-        if L2 == 0:
-            return []
-        t0 = ((q - p).real * r.real + (q - p).imag * r.imag) / L2
-        t1 = t0 + (s.real * r.real + s.imag * r.imag) / L2
-        lo, hi = sorted((t0, t1))
-        lo, hi = max(lo, 0.0), min(hi, 1.0)
-        if hi >= lo:  # overlapping or touching at one point
-            return [p + 0.5 * (lo + hi) * r]
-        return []
-    qp = q - p
-    t = (qp.real * s.imag - qp.imag * s.real) / cross
-    u = (qp.real * r.imag - qp.imag * r.real) / cross
-    eps_t = tol / max(abs(r), 1e-300)
-    eps_u = tol / max(abs(s), 1e-300)
-    if -eps_t <= t <= 1 + eps_t and -eps_u <= u <= 1 + eps_u:
-        return [p + t * r]
-    return []
-
-
-def _line_arc(line, arc, tol):
-    d = line.end - line.start
-    f = line.start - arc.center
-    a = abs(d) ** 2
-    if a == 0:
-        return []
-    bq = 2 * (f.real * d.real + f.imag * d.imag)
-    c = abs(f) ** 2 - arc.radius ** 2
-    disc = bq * bq - 4 * a * c
-    if disc < 0:
-        return []
-    out = []
-    eps_t = tol / max(abs(d), 1e-300)
-    for root in ({-bq / (2 * a)} if disc == 0 else
-                 {(-bq + math.sqrt(disc)) / (2 * a), (-bq - math.sqrt(disc)) / (2 * a)}):
-        if -eps_t <= root <= 1 + eps_t:
-            p = line.start + root * d
-            v = p - arc.center
-            if arc.contains_angle(math.atan2(v.imag, v.real), tol / arc.radius):
-                out.append(p)
-    return out
-
-
-def _arc_arc(a1, a2, tol):
-    d = a2.center - a1.center
-    dist = abs(d)
-    if dist < 1e-15:
-        if abs(a1.radius - a2.radius) > tol:
-            return []
-        # concentric same-radius: angular overlap check
-        n = 64
-        thetas = np.linspace(*a1.param_interval, n)
-        hits = [a1.point(t) for t in thetas
-                if a2.contains_angle(float(t), tol / a1.radius)]
-        return hits[:1]
-    r1, r2 = a1.radius, a2.radius
-    if dist > r1 + r2 + tol or dist < abs(r1 - r2) - tol:
-        return []
-    x = (dist ** 2 + r1 ** 2 - r2 ** 2) / (2 * dist)
-    h2 = r1 ** 2 - x ** 2
-    h = math.sqrt(max(h2, 0.0))
-    u = d / dist
-    base = a1.center + x * u
-    out = []
-    for p in ({base} if h == 0 else {base + 1j * h * u, base - 1j * h * u}):
-        v1, v2 = p - a1.center, p - a2.center
-        if a1.contains_angle(math.atan2(v1.imag, v1.real), tol / r1) and \
-                a2.contains_angle(math.atan2(v2.imag, v2.real), tol / r2):
-            out.append(p)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +303,11 @@ def path_to_dict(path: ComplexPath) -> dict:
                              "radius": seg.radius,
                              "theta_start": seg.theta_start,
                              "theta_end": seg.theta_end})
-    return {"side": path.side, "segments": segments}
+    return {"segments": segments}
 
 
 def path_from_dict(data: dict) -> ComplexPath:
+    """Read the segments of a path; other keys, such as an old "side", are ignored."""
     segments = []
     for seg in data["segments"]:
         if seg["type"] == "line":
@@ -426,4 +317,4 @@ def path_from_dict(data: dict) -> ComplexPath:
                                 float(seg["theta_start"]), float(seg["theta_end"])))
         else:
             raise ValueError(f"unknown segment type {seg['type']!r}")
-    return ComplexPath(tuple(segments), data["side"])
+    return ComplexPath(tuple(segments))

@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from apvint import AnalyticityDecl, IntegralSpec, parse
+from apvint import AnalyticityDecl, Arc, ComplexPath, IntegralSpec, Line, parse
 
 
 def si_series(x: float) -> float:
@@ -45,6 +45,14 @@ def exp_cpv_series(a: float, b: float) -> float:
 
 COS_FPI_N1 = cos_fpi_n1_series()    # -2.972770752470645...
 COS_FPI_N3 = cos_fpi_n3_series()    # 0.415750583102313...
+
+
+# Contours for cos(z)/z^2 on [-1, 1]: a zigzag above 0 that crosses itself,
+# and a path that winds once more round 0 before passing above it.
+ZIGZAG = ComplexPath((Line(-1 + 0j, 0.5 + 0.5j), Line(0.5 + 0.5j, -0.5 + 0.3j),
+                      Line(-0.5 + 0.3j, 1 + 0j)))
+WINDS_TWICE = ComplexPath((Line(-1 + 0j, -0.5 + 0j), Arc(0j, 0.5, math.pi, -math.pi),
+                           Arc(0j, 0.5, math.pi, 0.0), Line(0.5 + 0j, 1 + 0j)))
 
 
 def make_spec(source, a, b, x0, n, poles=()):

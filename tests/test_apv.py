@@ -7,7 +7,8 @@ from apvint.apv import (apv_average, apv_lower, apv_upper, default_paths,
 from apvint.paths import Arc, ComplexPath, Line, semicircle_path
 from apvint.quadrature import QuadConfig
 
-from conftest import COS_FPI_N1, COS_FPI_N3, exp_cpv_series, make_spec
+from conftest import (COS_FPI_N1, COS_FPI_N3, WINDS_TWICE, ZIGZAG, exp_cpv_series,
+                      make_spec)
 
 
 class TestDerivativeAtPole:
@@ -62,6 +63,18 @@ class TestAverageRoute:
         with pytest.raises(ValueError, match="classified"):
             apv_average(spec, minus, plus)
 
+    def test_self_crossing_path_accepted(self):
+        # crossing points change no winding number, so not the value either
+        spec = make_spec("cos(z)", -1, 1, 0, 1)
+        rep = apv_average(spec, ZIGZAG, ZIGZAG.conjugate())
+        assert abs(rep.value - COS_FPI_N1) <= rep.err_estimate
+
+    def test_path_winding_twice_rejected(self):
+        spec = make_spec("cos(z)", -1, 1, 0, 1)
+        assert WINDS_TWICE.turn(0.0) == pytest.approx(-3 * math.pi)
+        with pytest.raises(ValueError, match="classified"):
+            apv_average(spec, WINDS_TWICE, WINDS_TWICE.conjugate())
+
 
 class TestPathChecks:
     """User paths must run from a to b and cut off no declared pole."""
@@ -74,11 +87,11 @@ class TestPathChecks:
     def box(height):
         corners = (-2, -2 + height * 1j, 2 + height * 1j, 2)
         return ComplexPath(tuple(Line(complex(p), complex(q))
-                                 for p, q in zip(corners, corners[1:])), "above")
+                                 for p, q in zip(corners, corners[1:])))
 
     def test_bulge_enclosing_pole_rejected(self, spec):
         bulge = ComplexPath((Line(-2 + 0j, -1.5 + 0j), Arc(0j, 1.5, math.pi, 0.0),
-                             Line(1.5 + 0j, 2 + 0j)), "above")
+                             Line(1.5 + 0j, 2 + 0j)))
         with pytest.raises(ValueError, match=r"above x0 encloses declared pole 1j"):
             apv_average(spec, bulge, bulge.conjugate())
         with pytest.raises(ValueError, match=r"above x0 encloses declared pole 1j"):
@@ -89,6 +102,15 @@ class TestPathChecks:
     def test_pole_outside_loop_accepted(self, spec):
         box = self.box(0.5)
         rep = apv_average(spec, box, box.conjugate())
+        assert rep.value == pytest.approx(apv_average(spec).value, abs=1e-9)
+
+    def test_figure_eight_around_pole_accepted(self, spec):
+        # the path passes over i, and the left lobe of a figure-eight winds
+        # once the other way round it: the loop's net winding about i is 0
+        corners = (-2, -1 + 0.3j, 1.5 + 1.3j, 1.5 + 0.6j, -1 + 1.6j, -1 + 2.5j, 2 + 2.5j, 2)
+        figure8 = ComplexPath(tuple(Line(complex(p), complex(q))
+                                    for p, q in zip(corners, corners[1:])))
+        rep = apv_average(spec, figure8, figure8.conjugate())
         assert rep.value == pytest.approx(apv_average(spec).value, abs=1e-9)
 
     def test_pole_on_path_rejected(self, spec):

@@ -12,7 +12,7 @@ from apvint.cli import (EXIT_DISAGREE, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
 from apvint.paths import Arc, ComplexPath, Line, path_to_dict, semicircle_path
 from apvint.quadrature import QuadConfig, integrate_path
 
-from conftest import COS_FPI_N1, make_spec
+from conftest import COS_FPI_N1, WINDS_TWICE, ZIGZAG, make_spec
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +62,26 @@ class TestExitCodes:
         rc, _, err = run_cli(capsys, "--f", "cos(z)", "-a", "-1", "-b", "1",
                              "--x0", "0", "--routes", "magic")
         assert rc == EXIT_USAGE
+
+    def test_undeclared_pole(self, capsys):
+        rc, out, err = run_cli(capsys, "--f", "1/z", "-a", "-1", "-b", "1", "--x0", "0.5")
+        assert rc == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: division by zero")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_value_is_not_converged(self, capsys):
+        rc, out, _ = run_cli(capsys, "--f", "exp(exp(exp(z)))", "-a", "-1", "-b", "3",
+                             "--x0", "0", "--routes", "series", "--format", "json")
+        assert rc == EXIT_NUMERICAL
+        assert json.loads(out)["routes"]["series"]["converged"] is False
+
+    def test_nan_difference_is_disagreement(self):
+        results = {name: {"value": value, "err_estimate": 1e-14}
+                   for name, value in (("average", math.nan), ("fox", 1.0), ("series", 1.0))}
+        agreement = cli._agreement(results)
+        assert agreement["ok"] is False
+        assert math.isnan(agreement["abs_diff"])
 
     def test_nonconvergence_exit(self, capsys, monkeypatch):
         # at the default tolerances only the forced subdivision cap fails it
@@ -144,9 +164,41 @@ class TestPathInputs:
         assert complex(*routes["upper"]["report"]["int_plus"]) == pytest.approx(want, abs=1e-12)
         assert routes["upper"]["value"] == pytest.approx(COS_FPI_N1, abs=1e-8)
 
+    def test_path_file_side_read_from_geometry(self, capsys, tmp_path):
+        # an old file whose "side" key contradicts its geometry
+        spec = make_spec("cos(z)", -1, 1, 0, 1)
+        doc = path_to_dict(semicircle_path(spec, 0.4, "below"))
+        pf = tmp_path / "path.json"
+        pf.write_text(json.dumps({**doc, "side": "above"}))
+        rc, out, _ = run_cli(capsys, "--f", "cos(z)", "-a", "-1", "-b", "1",
+                             "--x0", "0", "-n", "1", "--path-file", str(pf),
+                             "--routes", "average", "--format", "json")
+        assert rc == EXIT_OK
+        assert json.loads(out)["routes"]["average"]["value"] == pytest.approx(COS_FPI_N1,
+                                                                              abs=1e-8)
+
+    def test_path_file_self_crossing(self, capsys, tmp_path):
+        pf = tmp_path / "zigzag.json"
+        pf.write_text(json.dumps(path_to_dict(ZIGZAG)))
+        rc, out, _ = run_cli(capsys, "--f", "cos(z)", "-a", "-1", "-b", "1",
+                             "--x0", "0", "-n", "1", "--path-file", str(pf),
+                             "--routes", "average", "--format", "json")
+        assert rc == EXIT_OK
+        average = json.loads(out)["routes"]["average"]
+        assert abs(average["value"] - COS_FPI_N1) <= average["err_estimate"]
+
+    def test_path_file_winding_twice(self, capsys, tmp_path):
+        pf = tmp_path / "twice.json"
+        pf.write_text(json.dumps(path_to_dict(WINDS_TWICE)))
+        rc, out, err = run_cli(capsys, "--f", "cos(z)", "-a", "-1", "-b", "1",
+                               "--x0", "0", "-n", "1", "--path-file", str(pf))
+        assert rc == EXIT_USAGE
+        assert out == ""
+        assert "classified as 'invalid'" in err
+
     def test_path_file_enclosing_declared_pole(self, capsys, tmp_path):
         bulge = ComplexPath((Line(-2 + 0j, -1.5 + 0j), Arc(0j, 1.5, math.pi, 0.0),
-                             Line(1.5 + 0j, 2 + 0j)), "above")
+                             Line(1.5 + 0j, 2 + 0j)))
         pf = tmp_path / "bulge.json"
         pf.write_text(json.dumps(path_to_dict(bulge)))
         rc, out, err = run_cli(capsys, "--f", "1/(1+z^2)", "--poles", "i,-i",

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apvint.paths import (Arc, ComplexPath, Line, _self_intersects, classify_side,
-                          path_from_dict, path_to_dict, semicircle_path)
+from apvint.paths import (Arc, ComplexPath, Line, classify_side, path_from_dict,
+                          path_to_dict, semicircle_path)
 
 from conftest import make_spec
 
@@ -89,33 +89,33 @@ class TestClassifySide:
             assert classify_side(semicircle_path(unit_spec, 1.0, side), 0.0) == side
 
     def test_path_through_pole_invalid(self):
-        p = ComplexPath((Line(-1 + 0j, 1 + 0j),), "above")
+        p = ComplexPath((Line(-1 + 0j, 1 + 0j),))
         assert classify_side(p, 0.0) == "invalid"
 
     def test_self_intersecting_invalid(self):
-        # zigzag that crosses itself away from the pole
+        # zigzag that crosses itself away from the pole: its turn about x0 is
+        # -pi, so it passes above, crossing or not
         segs = (
             Line(-1 + 0j, 0.5 + 0.5j),
             Line(0.5 + 0.5j, -0.5 + 0.3j),
             Line(-0.5 + 0.3j, 1 + 0j),
         )
-        p = ComplexPath(segs, "above")
-        assert classify_side(p, 0.0) == "invalid"
+        p = ComplexPath(segs)
+        assert classify_side(p, 0.0) == "above"
 
     def test_collinear_pieces_touching_at_a_point_self_intersect(self):
-        # the path revisits 0 after a full clockwise circle
+        # the path revisits 0 after a full clockwise circle, so it runs through x0 = 0
         p = ComplexPath((Line(-1 + 0j, 0j), Arc(-1 + 0j, 1.0, 0.0, -2 * math.pi),
-                         Line(0j, 2 + 0j)), "above")
-        assert _self_intersects(p)
+                         Line(0j, 2 + 0j)))
+        assert classify_side(p, 0.0) == "invalid"
 
     @pytest.mark.parametrize("radius", [1e-6, 1e-5])
     @pytest.mark.parametrize("side", ["above", "below"])
     def test_tiny_indentation_far_from_origin_is_not_a_touch(self, radius, side):
-        # the self-intersection tolerance (2e-5 here) is at least the 2r gap
-        # between the two real pieces, which must not count as touching
+        # far from the origin the 2r gap between the two real pieces is tiny
+        # next to the coordinates, and the side must still come out exactly
         spec = make_spec("cos(z)", 1e4, 1e4 + 1, 1e4 + 0.5, 0)
         p = semicircle_path(spec, radius, side)
-        assert not _self_intersects(p)
         assert classify_side(p, spec.x0) == side
 
     def test_offset_rectangle_above(self):
@@ -124,10 +124,10 @@ class TestClassifySide:
             Line(-1 + 0.5j, 1 + 0.5j),
             Line(1 + 0.5j, 1 + 0j),
         )
-        assert classify_side(ComplexPath(segs, "above"), 0.0) == "above"
+        assert classify_side(ComplexPath(segs), 0.0) == "above"
 
     def test_endpoints_off_axis_invalid(self):
-        p = ComplexPath((Line(-1 + 0.5j, 1 + 0.5j),), "above")
+        p = ComplexPath((Line(-1 + 0.5j, 1 + 0.5j),))
         assert classify_side(p, 0.0) == "invalid"
 
     def test_arc_just_over_x0_seen_from_inside(self):
@@ -143,7 +143,7 @@ class TestClassifySide:
         assert arc.turn(0j) == pytest.approx(-1.5 * math.pi)
         assert arc.reversed().turn(0j) == pytest.approx(1.5 * math.pi)
         path = ComplexPath((Line(-1 + 0j, complex(arc.first)), arc,
-                            Line(complex(arc.last), 1 + 0j)), "above")
+                            Line(complex(arc.last), 1 + 0j)))
         assert path.turn(0.0) == pytest.approx(-math.pi)
         assert classify_side(path, 0.0) == "above"
         assert classify_side(path.conjugate(), 0.0) == "below"
@@ -160,11 +160,7 @@ class TestClassifySide:
 class TestPathValidation:
     def test_discontinuous_segments_rejected(self):
         with pytest.raises(ValueError, match="join"):
-            ComplexPath((Line(-1 + 0j, 0 + 1j), Line(0.5 + 1j, 1 + 0j)), "above")
-
-    def test_bad_side_label(self):
-        with pytest.raises(ValueError):
-            ComplexPath((Line(-1 + 0j, 1 + 0j),), "sideways")
+            ComplexPath((Line(-1 + 0j, 0 + 1j), Line(0.5 + 1j, 1 + 0j)))
 
     def test_conjugate_mirrors_to_other_side(self, unit_spec):
         for size in (0.3, 1.0):
@@ -176,7 +172,7 @@ class TestPathValidation:
     def test_reversed_flips_side_and_endpoints(self, unit_spec):
         p = semicircle_path(unit_spec, 0.5, "above")
         r = p.reversed()
-        assert r.side == "below"
+        assert classify_side(r, 0.0) == "below"
         assert r.start == p.end
         assert r.end == p.start
 
@@ -191,7 +187,7 @@ class TestJson:
 
     def test_schema_fields(self, unit_spec):
         doc = path_to_dict(semicircle_path(unit_spec, 1.0, "below"))
-        assert doc["side"] == "below"
+        assert set(doc) == {"segments"}
         seg = doc["segments"][0]
         assert seg["type"] == "arc"
         assert set(seg) == {"type", "center", "radius", "theta_start", "theta_end"}
@@ -246,7 +242,7 @@ def _sampled_side(path, x0):
     a, b = path.start, path.end
     delta = min(x0 - a.real, b.real - x0, path.min_distance_to(complex(x0))) / 2
     back = ComplexPath((Line(b, complex(x0 + delta)), Arc(complex(x0), delta, 0.0, -math.pi),
-                        Line(complex(x0 - delta), a)), "below")
+                        Line(complex(x0 - delta), a)))
     winding = _sampled_turn(np.concatenate([_samples(path), _samples(back)]), x0) / (2 * math.pi)
     return {-1: "above", 0: "below"}.get(round(winding), "invalid")
 
@@ -292,7 +288,7 @@ def random_paths(draw):
         arc = Arc(draw(point), draw(st.floats(0.2, 2)), start,
                   start + draw(st.sampled_from([-2, 2])) * math.pi)
         segs = _joined(complex(a), arc, complex(b))
-    return ComplexPath(segs, "above")
+    return ComplexPath(segs)
 
 
 @settings(max_examples=1000, deadline=None)
@@ -304,5 +300,4 @@ def test_exact_turn_matches_sampled_winding(path, x0_frac, p):
     x0 = path.start.real + x0_frac * (path.end.real - path.start.real)
     if path.min_distance_to(complex(x0)) > CLEARANCE:
         assert path.turn(x0) == pytest.approx(_sampled_turn(samples, x0), abs=1e-6)
-        want = "invalid" if _self_intersects(path) else _sampled_side(path, x0)
-        assert classify_side(path, x0) == want
+        assert classify_side(path, x0) == _sampled_side(path, x0)

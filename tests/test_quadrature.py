@@ -71,7 +71,7 @@ class TestPathIntegral:
 
     def test_path_through_pole_rejected(self):
         spec = make_spec("1", -1, 1, 0, 0)
-        bad = ComplexPath((Line(-1 + 0j, 1 + 0j),), "above")
+        bad = ComplexPath((Line(-1 + 0j, 1 + 0j),))
         with pytest.raises(ValueError):
             integrate_path(spec, bad)
 
