@@ -14,7 +14,7 @@ offers, since the routes share almost no code.
 """
 
 from apvint import apv_average, apv_lower, apv_upper
-from apvint.classical import fox_limit, series_cpv, series_fpi, taylor_from_expr
+from apvint.classical import fox_limit, series_fpi, taylor_from_expr
 from apvint.expr import AnalyticityDecl, parse
 from apvint.paths import IntegralSpec
 
@@ -29,14 +29,12 @@ PROBLEMS = [
 for source, a, b, x0, n in PROBLEMS:
     spec = IntegralSpec(f=parse(source), a=a, b=b, x0=x0, n=n,
                         decl=AnalyticityDecl(declared_poles=(), entire=True))
-    coeffs = taylor_from_expr(spec)
-    series = series_cpv(coeffs, spec) if n == 0 else series_fpi(coeffs, spec)
     values = {
         "average": apv_average(spec).value,
         "upper": apv_upper(spec).value,
         "lower": apv_lower(spec).value,
         "fox": fox_limit(spec)["value"],
-        "series": series,
+        "series": series_fpi(taylor_from_expr(spec), spec),
     }
     spread = max(values.values()) - min(values.values())
     print(f"{source}/(x - {x0})^{n + 1} on [{a}, {b}]")

@@ -40,11 +40,6 @@ class ApvReport:
     diagnostics: dict = field(default_factory=dict, compare=False)
 
 
-def _circle_path(x0: float, radius: float) -> ComplexPath:
-    # full positively-oriented circle
-    return ComplexPath((Arc(complex(x0), radius, -math.pi, math.pi),))
-
-
 def default_circle_radius(spec: IntegralSpec) -> float:
     r = spec.pole_gap / 2
     for p in spec.decl.declared_poles:
@@ -52,18 +47,12 @@ def default_circle_radius(spec: IntegralSpec) -> float:
     return r
 
 
-def derivative_at_pole(spec: IntegralSpec, circle_radius: float | None = None,
-                       cfg: QuadConfig | None = None, order: int | None = None) -> complex:
-    """f^(k)(x0) / k! via the Cauchy integral on a circle about x0 (k = spec.n
-    by default). Spectrally accurate for f analytic on the closed disk."""
-    r = default_circle_radius(spec) if circle_radius is None else circle_radius
-    if r <= 0:
-        raise ValueError("circle radius must be positive")
-    for p in spec.decl.declared_poles:
-        if abs(p - spec.x0) <= r:
-            raise ValueError(f"circle of radius {r} about x0 reaches declared pole {p}")
-    res = integrate_on_path(singular_integrand(spec, order=order), _circle_path(spec.x0, r), cfg)
-    return res.value / (2j * math.pi)
+def derivative_at_pole(spec: IntegralSpec, cfg: QuadConfig | None = None) -> complex:
+    """The residue term f^(n)(x0) / n!, by the Cauchy integral of
+    f(z)/(z-x0)^(n+1) over the full circle of radius default_circle_radius
+    about x0, which keeps at most half way to any declared pole."""
+    circle = ComplexPath((Arc(complex(spec.x0), default_circle_radius(spec), -math.pi, math.pi),))
+    return integrate_on_path(singular_integrand(spec), circle, cfg).value / (2j * math.pi)
 
 
 def default_paths(spec: IntegralSpec) -> tuple[ComplexPath, ComplexPath]:

@@ -145,9 +145,7 @@ def _run_routes(args, spec: IntegralSpec, cfg: QuadConfig) -> dict:
             results[name] = {"value": out["value"], "err_estimate": out["err_estimate"],
                              "evals": 0, "converged": out["converged"]}
         elif name == "series":
-            coeffs = classical.taylor_from_expr(spec)
-            value = (classical.series_cpv(coeffs, spec) if spec.n == 0
-                     else classical.series_fpi(coeffs, spec))
+            value = classical.series_fpi(classical.taylor_from_expr(spec), spec)
             results[name] = {"value": value, "err_estimate": 1e-14, "evals": 0,
                              "converged": True}
         elif name == "spf":
@@ -168,11 +166,13 @@ def _report_ok(rep) -> bool:
 def _agreement(results: dict) -> dict:
     names = list(results)
     threshold = max(1e-8, 10 * sum(r["err_estimate"] for r in results.values()))
-    worst_pair, worst = None, 0.0
+    # a value that is not finite agrees with nothing, not even when alone
+    bad = [name for name in names if not math.isfinite(results[name]["value"])]
+    worst_pair, worst = (bad, math.nan) if bad else (None, 0.0)
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
             d = abs(results[names[i]]["value"] - results[names[j]]["value"])
-            if d > worst or math.isnan(d):  # a NaN difference stays the worst
+            if d > worst:
                 worst, worst_pair = d, [names[i], names[j]]
     return {"ok": worst <= threshold, "worst_pair": worst_pair,
             "abs_diff": worst, "threshold": threshold}

@@ -2,13 +2,14 @@
 
 Each path segment is mapped to a real parameter interval (lines by an affine
 map, arcs by angle) and integrated with an embedded (G7, K15) pair. The error
-of a subinterval is the |K15 - G7| difference; the worst subinterval is
-bisected until the global tolerance is met or the subdivision budget runs
-out. The stopping test reads running totals of value and error over all
-subintervals, kept as compensated (TwoSum) sums with an O(1) update per
-bisection. The returned result is summed afresh in a fixed order (sorted by
-left endpoint) so that outputs are reproducible. Alongside the value, the
-integral of |g| |dz| is accumulated as an absolute-convergence diagnostic.
+of a subinterval is the |K15 - G7| difference (a non-finite one is the
+worst); the worst subinterval is bisected until the global tolerance is met,
+the subdivision budget runs out, or both its halves are not finite. The
+stopping test reads running totals of value and error over all subintervals,
+kept as compensated (TwoSum) sums with an O(1) update per bisection. The
+returned result is summed afresh in a fixed order (sorted by left endpoint)
+so that outputs are reproducible. Alongside the value, the integral of
+|g| |dz| is accumulated as an absolute-convergence diagnostic.
 """
 
 from __future__ import annotations
@@ -128,6 +129,11 @@ def _two_sum(s, c, x):
     return t, c + ((s - (t - bb)) + (x - bb))
 
 
+def _heap_key(err):
+    """Heap order: the largest error first, and a non-finite one before all."""
+    return -err if math.isfinite(err) else -math.inf
+
+
 def integrate_function(g, lo: float, hi: float, cfg: QuadConfig) -> QuadResult:
     """Adaptively integrate the complex-valued vectorized g over [lo, hi].
 
@@ -143,8 +149,8 @@ def integrate_function(g, lo: float, hi: float, cfg: QuadConfig) -> QuadResult:
         sign = -1.0
     value, err, absint = _kronrod_panel(g, lo, hi)
     evals = 15
-    # heap of (-err, left, right, value, err, absint)
-    heap = [(-err, lo, hi, value, err, absint)]
+    # heap of (_heap_key(err), left, right, value, err, absint)
+    heap = [(_heap_key(err), lo, hi, value, err, absint)]
     total, total_c = value, 0.0
     total_err, err_c = err, 0.0
     nsub = 1
@@ -163,12 +169,14 @@ def integrate_function(g, lo: float, hi: float, cfg: QuadConfig) -> QuadResult:
         v1, e1, s1 = _kronrod_panel(g, a, m)
         v2, e2, s2 = _kronrod_panel(g, m, b)
         evals += 30
-        heapq.heappush(heap, (-e1, a, m, v1, e1, s1))
-        heapq.heappush(heap, (-e2, m, b, v2, e2, s2))
+        heapq.heappush(heap, (_heap_key(e1), a, m, v1, e1, s1))
+        heapq.heappush(heap, (_heap_key(e2), m, b, v2, e2, s2))
         for dv, de in ((v1, e1), (v2, e2), (-v, -e)):
             total, total_c = _two_sum(total, total_c, dv)
             total_err, err_c = _two_sum(total_err, err_c, de)
         nsub += 1
+        if not (math.isfinite(e1) or math.isfinite(e2)):
+            break  # halving does not make the value finite: not converged
     intervals = sorted(heap, key=lambda item: item[1])
     value = sum(item[3] for item in intervals)
     err = float(sum(item[4] for item in intervals))
@@ -192,18 +200,16 @@ def integrate_on_path(func, path: ComplexPath, cfg: QuadConfig | None = None) ->
     return total
 
 
-def singular_integrand(spec: IntegralSpec, order: int | None = None,
-                       center: complex | None = None):
-    """The integrand f(z) / (z - c)^(order+1), vectorized over real or complex z.
+def singular_integrand(spec: IntegralSpec, center: complex | None = None):
+    """The integrand f(z) / (z - c)^(n+1), vectorized over real or complex z.
 
-    The pole c is x0 and the order is n unless given.
+    The pole c is x0 unless given.
     """
-    n = spec.n if order is None else order
     c = spec.x0 if center is None else center
 
     def g(z):
         z = np.asarray(z, dtype=np.complex128)
-        return evaluate(spec.f, z) / (z - c) ** (n + 1)
+        return evaluate(spec.f, z) / (z - c) ** (spec.n + 1)
 
     return g
 

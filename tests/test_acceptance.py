@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from apvint.apv import apv_average, apv_lower, apv_upper, default_paths, jump_relation_check
-from apvint.classical import fox_limit, series_cpv, series_fpi, taylor_from_expr
+from apvint.classical import fox_limit, series_fpi, taylor_from_expr
 from apvint.cosexample import cos_apv_reference, cos_fpi_asymptotic
 from apvint.expr import evaluate, parse, to_source
 from apvint.paths import classify_side, semicircle_path
@@ -105,9 +105,7 @@ def test_criterion_07_oracle_triangle():
     for spec in entire_corpus():
         contour = apv_average(spec).value
         fox = fox_limit(spec)["value"]
-        coeffs = taylor_from_expr(spec)
-        series = (series_cpv(coeffs, spec) if spec.n == 0
-                  else series_fpi(coeffs, spec))
+        series = series_fpi(taylor_from_expr(spec), spec)
         worst = max(worst, abs(contour - fox), abs(contour - series),
                     abs(fox - series))
     verdict(7, "contour / eps-limit / series routes agree",

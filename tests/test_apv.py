@@ -20,17 +20,6 @@ class TestDerivativeAtPole:
         spec2 = make_spec("cos(z)", -1, 1, 0, 2)
         assert derivative_at_pole(spec2) == pytest.approx(-0.5, abs=1e-12)
 
-    def test_order_override(self):
-        spec = make_spec("exp(z)", -1, 1, 0, 0)
-        for k in range(6):
-            expect = 1.0 / math.factorial(k)
-            assert derivative_at_pole(spec, order=k) == pytest.approx(expect, abs=1e-12)
-
-    def test_radius_blocked_by_declared_pole(self):
-        spec = make_spec("1/(1+z^2)", -2, 2, 0, 0, poles=(1j, -1j))
-        with pytest.raises(ValueError):
-            derivative_at_pole(spec, circle_radius=1.5)
-
 
 class TestAverageRoute:
     def test_cos_cpv_vanishes(self):

@@ -3,9 +3,8 @@ import math
 import pytest
 
 from apvint.apv import apv_average
-from apvint.classical import (EpsSchedule, TaylorCoeffs, divergent_terms,
-                              fox_limit, series_cpv, series_Fn, series_fpi,
-                              taylor_from_expr)
+from apvint.classical import (TaylorCoeffs, divergent_terms, fox_limit, series_Fn,
+                              series_fpi, taylor_from_expr)
 
 from conftest import COS_FPI_N1, COS_FPI_N3, exp_cpv_series, make_spec
 
@@ -73,16 +72,16 @@ class TestSeriesFn:
 class TestSeriesCpvFpi:
     def test_cos_cpv_vanishes(self):
         spec = make_spec("cos(z)", -1, 1, 0, 0)
-        assert series_cpv(taylor_from_expr(spec), spec) == pytest.approx(0.0, abs=1e-13)
+        assert series_fpi(taylor_from_expr(spec), spec) == pytest.approx(0.0, abs=1e-13)
 
     def test_exp_cpv(self):
         spec = make_spec("exp(z)", -1, 2, 0, 0)
-        value = series_cpv(taylor_from_expr(spec), spec)
+        value = series_fpi(taylor_from_expr(spec), spec)
         assert value == pytest.approx(exp_cpv_series(-1, 2), abs=1e-11)
 
     def test_constant_leaves_log_term(self):
         spec = make_spec("1", -1, 3, 0, 0)
-        assert series_cpv(taylor_from_expr(spec), spec) == pytest.approx(math.log(3.0), abs=1e-12)
+        assert series_fpi(taylor_from_expr(spec), spec) == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_cos_fpi_golden(self):
         for n, expect in ((1, COS_FPI_N1), (3, COS_FPI_N3)):
@@ -93,19 +92,11 @@ class TestSeriesCpvFpi:
         spec = make_spec("cos(z)", -1, 1, 0, 2)
         assert series_fpi(taylor_from_expr(spec), spec) == pytest.approx(0.0, abs=1e-13)
 
-    def test_wrong_n_dispatch(self):
-        spec0 = make_spec("cos(z)", -1, 1, 0, 0)
-        spec1 = make_spec("cos(z)", -1, 1, 0, 1)
-        with pytest.raises(ValueError):
-            series_fpi(taylor_from_expr(spec0), spec0)
-        with pytest.raises(ValueError):
-            series_cpv(taylor_from_expr(spec1), spec1)
-
     def test_radius_check_failure(self):
         coeffs = TaylorCoeffs(tuple([1.0] * 8), radius_check=0.5)
         spec = make_spec("exp(z)", -1, 1, 0, 0)
         with pytest.raises(ValueError, match="radius"):
-            series_cpv(coeffs, spec)
+            series_fpi(coeffs, spec)
 
 
 class TestDivergentTerms:
@@ -154,11 +145,14 @@ class TestFoxLimit:
         for eps, v in raw[-3:]:
             assert abs(v * eps - 2.0) <= 0.05
 
-    def test_schedule_validation(self):
-        with pytest.raises(ValueError):
-            EpsSchedule((0.1, 0.2))
-        with pytest.raises(ValueError):
-            EpsSchedule((0.1, -0.05))
-        spec = make_spec("cos(z)", -1, 1, 0, 0)
-        with pytest.raises(ValueError):
-            fox_limit(spec, EpsSchedule((2.0, 1.5)))
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_declared_pole_numerator(self, n):
+        # the Taylor circle about x0 stops short of the poles +-i
+        spec = make_spec("1/(1+z^2)", -0.5, 0.8, 0.1, n, poles=(1j, -1j))
+        out = fox_limit(spec)
+        contour = apv_average(spec).value
+        assert out["converged"]
+        assert abs(out["value"] - contour) <= out["err_estimate"]
+        assert out["value"] == pytest.approx(contour, abs=1e-8)
+        series = series_fpi(taylor_from_expr(spec), spec)
+        assert out["value"] == pytest.approx(series, abs=1e-8)

@@ -74,7 +74,21 @@ class TestExitCodes:
         rc, out, _ = run_cli(capsys, "--f", "exp(exp(exp(z)))", "-a", "-1", "-b", "3",
                              "--x0", "0", "--routes", "series", "--format", "json")
         assert rc == EXIT_NUMERICAL
-        assert json.loads(out)["routes"]["series"]["converged"] is False
+        doc = json.loads(out)
+        assert doc["routes"]["series"]["converged"] is False
+        assert doc["agreement"]["ok"] is False  # a lone NaN agrees with nothing
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_lone_nan_route_does_not_agree(self, capsys):
+        rc, out, _ = run_cli(capsys, "--f", "exp(exp(exp(z)))", "-a", "-1", "-b", "3",
+                             "--x0", "0", "--routes", "series")
+        assert rc == EXIT_NUMERICAL
+        assert "routes agree" not in out
+
+    def test_lone_infinite_value_is_disagreement(self):
+        agreement = cli._agreement({"series": {"value": math.inf, "err_estimate": 1e-14}})
+        assert agreement["ok"] is False
+        assert agreement["worst_pair"] == ["series"]
 
     def test_nan_difference_is_disagreement(self):
         results = {name: {"value": value, "err_estimate": 1e-14}

@@ -138,6 +138,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             QuadConfig(max_subdivisions=0)
 
+    def test_non_finite_values_end_the_bisection(self):
+        # NaN beyond t = 0.9: the NaN panel is bisected first, and once both
+        # of its halves are NaN the loop gives up instead of running to the cap
+        g = lambda t: np.where(t < 0.9, np.cos(t), np.nan) + 0j
+        r = integrate_function(g, 0.0, 1.0, QuadConfig())
+        assert not r.converged
+        assert math.isnan(r.value.real)
+        assert r.evals < 200
+
     def test_converged_implies_tolerance(self):
         spec = make_spec("cos(z)", -1, 1, 0, 0)
         cfg = QuadConfig()

@@ -75,11 +75,6 @@ class TestBoundaryValues:
         jump = rep.phi_plus - rep.phi_minus
         assert jump == pytest.approx(2j * math.pi, abs=tol)
 
-    def test_schedule_floor_enforced(self):
-        spec = make_spec("cos(z)", -1, 1, 0, 0)
-        with pytest.raises(ValueError, match="floor"):
-            boundary_values(spec, (0.1, 1e-9))
-
     def test_monotone_tail_convergence(self):
         spec = make_spec("cos(z)", -1, 1, 0, 0)
         rep = boundary_values(spec)
