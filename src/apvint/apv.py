@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .paths import Arc, ComplexPath, IntegralSpec, Line, classify_side, semicircle_path
+from .paths import (Arc, ComplexPath, IntegralSpec, Line, classify_side, default_circle_radius,
+                    semicircle_path)
 from .quadrature import QuadConfig, integrate_on_path, integrate_path, singular_integrand
 
 __all__ = [
@@ -38,13 +39,6 @@ class ApvReport:
     err_estimate: float
     evals: int
     diagnostics: dict = field(default_factory=dict, compare=False)
-
-
-def default_circle_radius(spec: IntegralSpec) -> float:
-    r = spec.pole_gap / 2
-    for p in spec.decl.declared_poles:
-        r = min(r, abs(p - spec.x0) * 0.5)
-    return r
 
 
 def derivative_at_pole(spec: IntegralSpec, cfg: QuadConfig | None = None) -> complex:

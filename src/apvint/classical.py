@@ -21,7 +21,7 @@ import numpy as np
 
 from .expr import evaluate
 from .extrapolate import richardson_zero
-from .paths import IntegralSpec
+from .paths import IntegralSpec, default_circle_radius
 from .quadrature import QuadConfig, integrate_real_segment
 
 __all__ = [
@@ -75,14 +75,16 @@ def fox_limit(spec: IntegralSpec, cfg: QuadConfig | None = None) -> dict:
 
     The two-sided real integrals are taken at DEFAULT_EPS_TERMS values of eps,
     halving from a quarter of the pole gap; H_n reads c_0..c_{n-1} from
-    taylor_from_expr (none at n = 0). Returns {"value", "err_estimate",
+    taylor_from_expr on the residue's circle, of radius default_circle_radius
+    (none at n = 0): a wider circle reaches where f is large and spoils the
+    low coefficients by rounding. Returns {"value", "err_estimate",
     "samples", "raw_samples", "converged"} where samples are the
     H_n-subtracted two-sided sums per eps and raw_samples the unsubtracted
     sums (which diverge for n >= 1).
     """
     cfg = cfg or QuadConfig()
     eps_values = tuple(spec.pole_gap / 4 * 2.0 ** (-k) for k in range(DEFAULT_EPS_TERMS))
-    c = taylor_from_expr(spec, K=spec.n).c if spec.n else ()
+    c = taylor_from_expr(spec, spec.n, default_circle_radius(spec)).c if spec.n else ()
     samples = []
     raw_samples = []
     quad_err_floor = np.inf
@@ -150,21 +152,18 @@ def series_fpi(coeffs: TaylorCoeffs, spec: IntegralSpec) -> float:
     return fb - fa + coeffs.c[spec.n] * (math.log(sb) - math.log(-sa))
 
 
-def taylor_from_expr(spec: IntegralSpec, K: int = 64) -> TaylorCoeffs:
+def taylor_from_expr(spec: IntegralSpec, K: int = 64,
+                     radius: float | None = None) -> TaylorCoeffs:
     """Taylor coefficients about x0 by uniform sampling of the Cauchy integral
     on a circle (trapezoid rule on the circle is spectrally accurate).
 
-    The circle radius is 1.1x the interval reach when declared poles allow,
-    otherwise the largest admissible radius (the caller sees the shortfall in
-    radius_check).
+    The circle has the given radius, else 1.1x the interval reach when declared
+    poles allow, otherwise the largest admissible radius (the caller sees the
+    shortfall in radius_check).
     """
-    reach = max(abs(spec.a - spec.x0), abs(spec.b - spec.x0))
-    radius = reach * 1.1
-    for p in spec.decl.declared_poles:
-        admissible = abs(p - spec.x0) * 0.9
-        if admissible <= 0:
-            raise ValueError(f"declared pole {p} coincides with x0")
-        radius = min(radius, admissible)
+    if radius is None:
+        radius = min([max(abs(spec.a - spec.x0), abs(spec.b - spec.x0)) * 1.1]
+                     + [abs(p - spec.x0) * 0.9 for p in spec.decl.declared_poles])
     if radius <= 0:
         raise ValueError("no admissible sampling circle about x0")
     m = max(TAYLOR_SAMPLES, 4 * K)

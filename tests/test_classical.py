@@ -104,13 +104,13 @@ class TestDivergentTerms:
         assert divergent_terms([], 0, 1e-3) == 0.0
 
     def test_even_gap_terms_vanish(self):
-        # n - k even => factor (1 - (-1)^(n-k)) kills the term
-        derivs = [5.0, 0.0, 7.0, 0.0]  # f, f'' nonzero but n-k even for k=0,2
-        assert divergent_terms(derivs, 4, 0.01) == 0.0
+        # terms with even n - k cancel between the two sides of x0
+        c = [5.0, 0.0, 7.0, 0.0]  # c_0, c_2 nonzero but n - k even for k = 0, 2
+        assert divergent_terms(c, 4, 0.01) == 0.0
 
     def test_n1_leading_term(self):
-        derivs = [3.0]
-        assert divergent_terms(derivs, 1, 0.25) == pytest.approx(2 * 3.0 / 0.25)
+        c = [3.0]
+        assert divergent_terms(c, 1, 0.25) == pytest.approx(2 * 3.0 / 0.25)
 
 
 class TestFoxLimit:
@@ -156,3 +156,10 @@ class TestFoxLimit:
         assert out["value"] == pytest.approx(contour, abs=1e-8)
         series = series_fpi(taylor_from_expr(spec), spec)
         assert out["value"] == pytest.approx(series, abs=1e-8)
+
+    def test_fast_growing_numerator_near_endpoint(self):
+        # |cos(20 z)| reaches ~1e17 on a circle of the interval's reach; the
+        # divergent terms need c_0 from a circle close to x0
+        spec = make_spec("cos(20*z)", -1, 1, 0.9, 1)
+        out = fox_limit(spec)
+        assert out["value"] == pytest.approx(apv_average(spec).value, abs=1e-8)
