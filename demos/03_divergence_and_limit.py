@@ -15,10 +15,10 @@ spec = cos_problem(1)
 out = fox_limit(spec)
 
 print(f"{'eps':>10} {'raw sum':>16} {'raw*eps':>10} {'corrected':>18}")
-for (eps, raw), (_, corrected) in zip(out["raw_samples"], out["samples"]):
+for (eps, raw), (_, corrected) in zip(out.detail["raw_samples"], out.detail["samples"]):
     print(f"{eps:>10.5f} {raw:>16.4f} {raw * eps:>10.4f} {corrected:>18.12f}")
 
 exact = -2.0 * (math.cos(1.0) + si(1.0))
-print(f"\nextrapolated: {out['value']:.15f}")
+print(f"\nextrapolated: {out.value:.15f}")
 print(f"closed form:  {exact:.15f}")
-print(f"abs err:      {abs(out['value'] - exact):.2e}")
+print(f"abs err:      {abs(out.value - exact):.2e}")

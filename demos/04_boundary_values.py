@@ -17,11 +17,11 @@ from apvint.spf import boundary_values
 for n in (0, 1, 2):
     spec = cos_problem(n)
     rep = boundary_values(spec)
-    avg = 0.5 * (rep.phi_plus + rep.phi_minus)
-    jump = rep.phi_plus - rep.phi_minus
+    phi_plus, phi_minus = rep.detail["phi_plus"], rep.detail["phi_minus"]
+    jump = phi_plus - phi_minus
     contour = apv_average(spec).value
     print(f"n = {n}")
-    print(f"    Phi+            {rep.phi_plus:.12f}")
-    print(f"    Phi-            {rep.phi_minus:.12f}")
-    print(f"    average (real)  {avg.real:.12f}   contour route {contour:.12f}")
+    print(f"    Phi+            {phi_plus:.12f}")
+    print(f"    Phi-            {phi_minus:.12f}")
+    print(f"    average (real)  {rep.value:.12f}   contour route {contour:.12f}")
     print(f"    jump / (2 pi i) {(jump / (2j * math.pi)):.12f}")

@@ -10,43 +10,32 @@ gives the jump relation used as a cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import replace
 
 from .paths import (Arc, ComplexPath, IntegralSpec, Line, classify_side, default_circle_radius,
                     semicircle_path)
-from .quadrature import QuadConfig, integrate_on_path, integrate_path, singular_integrand
+from .quadrature import (QuadConfig, QuadResult, RouteResult, integrate_on_path, integrate_path,
+                         singular_integrand)
 
 __all__ = [
-    "ApvReport",
     "derivative_at_pole",
     "default_paths",
     "apv_average",
     "apv_upper",
     "apv_lower",
     "jump_relation_check",
-    "report_to_dict",
 ]
 
 
-@dataclass(frozen=True)
-class ApvReport:
-    value: float
-    int_plus: complex | None
-    int_minus: complex | None
-    residue_term: complex  # f^(n)(x0) / n!
-    route: str  # "average" | "upper" | "lower"
-    imag_residual: float
-    err_estimate: float
-    evals: int
-    diagnostics: dict = field(default_factory=dict, compare=False)
-
-
-def derivative_at_pole(spec: IntegralSpec, cfg: QuadConfig | None = None) -> complex:
-    """The residue term f^(n)(x0) / n!, by the Cauchy integral of
-    f(z)/(z-x0)^(n+1) over the full circle of radius default_circle_radius
-    about x0, which keeps at most half way to any declared pole."""
+def derivative_at_pole(spec: IntegralSpec, cfg: QuadConfig | None = None) -> QuadResult:
+    """The residue term f^(n)(x0) / n!, as the QuadResult of the Cauchy
+    integral of f(z)/(z-x0)^(n+1) over the full circle of radius
+    default_circle_radius about x0 (which keeps at most half way to any
+    declared pole), scaled by 1/(2*pi*i)."""
     circle = ComplexPath((Arc(complex(spec.x0), default_circle_radius(spec), -math.pi, math.pi),))
-    return integrate_on_path(singular_integrand(spec), circle, cfg).value / (2j * math.pi)
+    q = integrate_on_path(singular_integrand(spec), circle, cfg)
+    return replace(q, value=q.value / (2j * math.pi), err_estimate=q.err_estimate / (2 * math.pi),
+                   abs_integral=q.abs_integral / (2 * math.pi))
 
 
 def default_paths(spec: IntegralSpec) -> tuple[ComplexPath, ComplexPath]:
@@ -81,10 +70,11 @@ def _checked_path(spec: IntegralSpec, path: ComplexPath | None, side: str) -> Co
 
 
 def _contour_report(spec: IntegralSpec, route: str, path_plus: ComplexPath | None,
-                    path_minus: ComplexPath | None, cfg: QuadConfig | None) -> ApvReport:
-    """Integrate the sides `route` needs and assemble its report: the average
+                    path_minus: ComplexPath | None, cfg: QuadConfig | None) -> RouteResult:
+    """Integrate the sides `route` needs and assemble its result: the average
     of both sides, or one side plus (above) or minus (below) i*pi times the
-    residue term."""
+    residue term. The residue always counts in evals, and enters
+    diagnostics only where it enters the value."""
     rp = None if route == "lower" else integrate_path(
         spec, _checked_path(spec, path_plus, "above"), cfg)
     rm = None if route == "upper" else integrate_path(
@@ -93,39 +83,35 @@ def _contour_report(spec: IntegralSpec, route: str, path_plus: ComplexPath | Non
     if route == "average":
         total = 0.5 * (rp.value + rm.value)
         err = 0.5 * (rp.err_estimate + rm.err_estimate)
+        pieces = {"int_plus": rp, "int_minus": rm}
     elif route == "upper":
-        total, err = rp.value + 1j * math.pi * residue, rp.err_estimate
+        total = rp.value + 1j * math.pi * residue.value
+        err = rp.err_estimate + math.pi * residue.err_estimate
+        pieces = {"int_plus": rp, "residue": residue}
     else:
-        total, err = rm.value - 1j * math.pi * residue, rm.err_estimate
-    sides = {name: r for name, r in (("int_plus", rp), ("int_minus", rm)) if r is not None}
-    return ApvReport(
-        value=total.real,
-        int_plus=None if rp is None else rp.value,
-        int_minus=None if rm is None else rm.value,
-        residue_term=residue,
-        route=route,
-        imag_residual=total.imag,
-        err_estimate=err,
-        evals=sum(r.evals for r in sides.values()),
-        diagnostics=sides,
-    )
+        total = rm.value - 1j * math.pi * residue.value
+        err = rm.err_estimate + math.pi * residue.err_estimate
+        pieces = {"int_minus": rm, "residue": residue}
+    return RouteResult(total.real, err, sum(q.evals for q in (rp, rm, residue) if q is not None),
+                       all(q.converged for q in pieces.values()), pieces,
+                       {"residue_term": residue.value, "imag_residual": total.imag})
 
 
 def apv_average(spec: IntegralSpec, path_plus: ComplexPath | None = None,
                 path_minus: ComplexPath | None = None,
-                cfg: QuadConfig | None = None) -> ApvReport:
+                cfg: QuadConfig | None = None) -> RouteResult:
     """Two-path route: average of the above-path and below-path integrals."""
     return _contour_report(spec, "average", path_plus, path_minus, cfg)
 
 
 def apv_upper(spec: IntegralSpec, path_plus: ComplexPath | None = None,
-              cfg: QuadConfig | None = None) -> ApvReport:
+              cfg: QuadConfig | None = None) -> RouteResult:
     """One-path route using the above path plus i*pi times the residue term."""
     return _contour_report(spec, "upper", path_plus, None, cfg)
 
 
 def apv_lower(spec: IntegralSpec, path_minus: ComplexPath | None = None,
-              cfg: QuadConfig | None = None) -> ApvReport:
+              cfg: QuadConfig | None = None) -> RouteResult:
     """One-path route using the below path minus i*pi times the residue term."""
     return _contour_report(spec, "lower", None, path_minus, cfg)
 
@@ -135,24 +121,8 @@ def jump_relation_check(spec: IntegralSpec, path_plus: ComplexPath | None = None
                         cfg: QuadConfig | None = None) -> dict:
     """Residue-theorem consistency: Int- minus Int+ against 2*pi*i*residue."""
     rep = apv_average(spec, path_plus, path_minus, cfg)
-    lhs = rep.int_minus - rep.int_plus
-    rhs = 2j * math.pi * rep.residue_term
+    lhs = rep.diagnostics["int_minus"].value - rep.diagnostics["int_plus"].value
+    rhs = 2j * math.pi * rep.detail["residue_term"]
     return {"lhs": lhs, "rhs": rhs, "abs_diff": abs(lhs - rhs),
             "err_estimate": 2 * rep.err_estimate}
 
-
-def report_to_dict(report: ApvReport) -> dict:
-    """JSON-ready form of an ApvReport."""
-    def c(v):
-        return None if v is None else [v.real, v.imag]
-
-    return {
-        "value": report.value,
-        "imag_residual": report.imag_residual,
-        "int_plus": c(report.int_plus),
-        "int_minus": c(report.int_minus),
-        "residue_term": c(report.residue_term),
-        "route": report.route,
-        "err_estimate": report.err_estimate,
-        "evals": report.evals,
-    }

@@ -22,7 +22,7 @@ import numpy as np
 from .expr import evaluate
 from .extrapolate import richardson_zero
 from .paths import IntegralSpec, default_circle_radius
-from .quadrature import QuadConfig, integrate_real_segment
+from .quadrature import QuadConfig, RouteResult, integrate_real_segment
 
 __all__ = [
     "TaylorCoeffs",
@@ -44,10 +44,13 @@ TAYLOR_SAMPLES = 512
 
 @dataclass(frozen=True)
 class TaylorCoeffs:
-    """Scaled derivatives c_k = f^(k)(x0) / k! and the sampling radius used."""
+    """Scaled derivatives c_k = f^(k)(x0) / k!, the sampling radius used, the
+    largest |f| sampled on that circle and the number of samples taken."""
 
     c: tuple
     radius_check: float
+    f_max: float = 0.0
+    evals: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "c", tuple(float(x) for x in self.c))
@@ -70,44 +73,42 @@ def divergent_terms(c, n: int, eps: float) -> float:
     return total
 
 
-def fox_limit(spec: IntegralSpec, cfg: QuadConfig | None = None) -> dict:
+def fox_limit(spec: IntegralSpec, cfg: QuadConfig | None = None) -> RouteResult:
     """Symmetric-removal limit with the divergent terms subtracted.
 
     The two-sided real integrals are taken at DEFAULT_EPS_TERMS values of eps,
     halving from a quarter of the pole gap; H_n reads c_0..c_{n-1} from
     taylor_from_expr on the residue's circle, of radius default_circle_radius
     (none at n = 0): a wider circle reaches where f is large and spoils the
-    low coefficients by rounding. Returns {"value", "err_estimate",
-    "samples", "raw_samples", "converged"} where samples are the
-    H_n-subtracted two-sided sums per eps and raw_samples the unsubtracted
-    sums (which diverge for n >= 1).
+    low coefficients by rounding. detail holds (eps, sum) pairs of the
+    H_n-subtracted two-sided sums ("samples") and of the unsubtracted ones
+    ("raw_samples"), which diverge for n >= 1.
     """
     cfg = cfg or QuadConfig()
     eps_values = tuple(spec.pole_gap / 4 * 2.0 ** (-k) for k in range(DEFAULT_EPS_TERMS))
-    c = taylor_from_expr(spec, spec.n, default_circle_radius(spec)).c if spec.n else ()
-    samples = []
-    raw_samples = []
+    taylor = (taylor_from_expr(spec, spec.n, default_circle_radius(spec)) if spec.n
+              else TaylorCoeffs((), 0.0))
+    samples, raw_samples = [], []
     quad_err_floor = np.inf
     converged = True
+    evals = taylor.evals
     for eps in eps_values:
         left = integrate_real_segment(spec, spec.a, spec.x0 - eps, cfg)
         right = integrate_real_segment(spec, spec.x0 + eps, spec.b, cfg)
         raw = (left.value + right.value).real
         raw_samples.append((eps, raw))
-        samples.append(raw - divergent_terms(c, spec.n, eps))
+        samples.append(raw - divergent_terms(taylor.c, spec.n, eps))
         # noisy small-eps samples are discounted by the extrapolation's own
         # consistency estimate; only the cleanest sample bounds from below
         quad_err_floor = min(quad_err_floor, left.err_estimate + right.err_estimate)
         converged = converged and left.converged and right.converged
+        evals += left.evals + right.evals
     ext = richardson_zero(np.array(eps_values), np.array(samples, dtype=np.complex128),
                           max_order=FOX_EXTRAPOLATION_ORDER)
-    return {
-        "value": ext.value.real,
-        "err_estimate": max(ext.err_estimate, float(quad_err_floor)),
-        "samples": list(zip(eps_values, samples)),
-        "raw_samples": raw_samples,
-        "converged": converged and not ext.diverged,
-    }
+    return RouteResult(ext.value.real, max(ext.err_estimate, quad_err_floor), evals,
+                       converged and not ext.diverged,
+                       detail={"samples": list(zip(eps_values, samples)),
+                               "raw_samples": raw_samples})
 
 
 def series_Fn(coeffs: TaylorCoeffs, n: int, s: float):
@@ -134,22 +135,34 @@ def series_Fn(coeffs: TaylorCoeffs, n: int, s: float):
     return total, last
 
 
-def series_fpi(coeffs: TaylorCoeffs, spec: IntegralSpec) -> float:
+def series_fpi(spec: IntegralSpec) -> RouteResult:
     """Closed-form value from the Taylor series about x0: the finite part for
     n >= 1 and the Cauchy principal value for n = 0.
 
-    F_n(s_b) - F_n(s_a) + c_n log(s_b / -s_a), with F_n from series_Fn.
+    F_n(s_b) - F_n(s_a) + c_n log(s_b / -s_a), with F_n from series_Fn over
+    taylor_from_expr(spec), whose circle's "radius" r is in detail. The error
+    is the two last terms plus rounding: eps * max|f| / r^k in sampling c_k,
+    and as much again (Cauchy's |c_k| <= max|f| / r^k) in its term, carried
+    with weight |s|^(k-n) / |k-n| for s in {s_a, s_b}, |log(s_b / -s_a)| at k = n.
     """
+    coeffs = taylor_from_expr(spec)
+    n, r = spec.n, coeffs.radius_check
     reach = max(abs(spec.a - spec.x0), abs(spec.b - spec.x0))
-    if coeffs.radius_check < reach:
-        raise ValueError(
-            f"series radius {coeffs.radius_check} does not cover the interval reach {reach}")
-    if len(coeffs) < spec.n + 2:
-        raise ValueError(f"need at least n+2 = {spec.n + 2} coefficients, have {len(coeffs)}")
+    if r < reach:
+        raise ValueError(f"series radius {r} does not cover the interval reach {reach}")
+    if len(coeffs) < n + 2:
+        raise ValueError(f"need at least n+2 = {n + 2} coefficients, have {len(coeffs)}")
     sb, sa = spec.b - spec.x0, spec.a - spec.x0
-    fb, _ = series_Fn(coeffs, spec.n, sb)
-    fa, _ = series_Fn(coeffs, spec.n, sa)
-    return fb - fa + coeffs.c[spec.n] * (math.log(sb) - math.log(-sa))
+    fb, last_b = series_Fn(coeffs, n, sb)
+    fa, last_a = series_Fn(coeffs, n, sa)
+    log_ratio = math.log(sb) - math.log(-sa)
+    value = fb - fa + coeffs.c[n] * log_ratio
+    # |s|^(k-n) / r^k written as (|s|/r)^k / |s|^n, which cannot overflow as r >= |s|
+    weight = abs(log_ratio) / r ** n + sum(
+        (abs(s) / r) ** k / abs(s) ** n / abs(k - n)
+        for s in (sa, sb) for k in range(len(coeffs)) if k != n)
+    err = last_a + last_b + 2 * np.finfo(float).eps * coeffs.f_max * weight
+    return RouteResult(value, err, coeffs.evals, True, detail={"radius": r})
 
 
 def taylor_from_expr(spec: IntegralSpec, K: int = 64,
@@ -172,4 +185,4 @@ def taylor_from_expr(spec: IntegralSpec, K: int = 64,
     fz = evaluate(spec.f, z)
     coeff = np.fft.fft(fz) / m
     c = [float((coeff[k] / radius ** k).real) for k in range(K)]
-    return TaylorCoeffs(tuple(c), radius_check=radius)
+    return TaylorCoeffs(tuple(c), radius_check=radius, f_max=float(np.max(np.abs(fz))), evals=m)

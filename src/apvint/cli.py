@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Parses a problem statement, runs the requested routes, cross-checks them
-pairwise and emits a text, JSON or CSV report.
+pairwise and emits a text, JSON or CSV report. The JSON report is one line
+(its sample tables would run to hundreds indented), and its route entry is
+the route's RouteResult whole, with complex numbers as [re, im] pairs. numpy's
+floating-point warnings are silenced: a value not finite is not converged.
 
 Exit codes: 0 all routes agree, 1 usage or parse error, 2 route disagreement,
 3 numerical failure (non-convergence, or a value that is not finite).
@@ -14,22 +17,26 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict
+
+import numpy as np
 
 from . import classical, spf
-from .apv import (apv_average, apv_lower, apv_upper, default_paths,
-                  report_to_dict)
+from .apv import apv_average, apv_lower, apv_upper, default_paths
 from .expr import AnalyticityDecl, ParseError, parse, validate_region
 from .paths import IntegralSpec, classify_side, path_from_dict, semicircle_path
 from .quadrature import QuadConfig, singular_integrand
 
-ROUTES = ("average", "upper", "lower", "fox", "series", "spf")
-
-# The contour routes, given both paths. Each looks its function up in this
-# module when called, so a wrapper bound to the module's name sees the call.
-_CONTOUR_ROUTES = {
+# Every route, given the problem, both contours and the quadrature settings.
+# Each looks its function up when called, so a wrapper bound to the name the
+# lambda reads sees the call.
+ROUTES = {
     "average": lambda spec, plus, minus, cfg: apv_average(spec, plus, minus, cfg),
     "upper": lambda spec, plus, minus, cfg: apv_upper(spec, plus, cfg),
     "lower": lambda spec, plus, minus, cfg: apv_lower(spec, minus, cfg),
+    "fox": lambda spec, plus, minus, cfg: classical.fox_limit(spec, cfg),
+    "series": lambda spec, plus, minus, cfg: classical.series_fpi(spec),
+    "spf": lambda spec, plus, minus, cfg: spf.boundary_values(spec, cfg),
 }
 
 EXIT_OK = 0
@@ -133,34 +140,7 @@ def _run_routes(args, spec: IntegralSpec, cfg: QuadConfig) -> dict:
         if name not in ROUTES:
             raise CliError(f"unknown route {name!r}; choose from {', '.join(ROUTES)}")
     plus, minus = _contour_paths(args, spec)
-    results = {}
-    for name in names:
-        if name in _CONTOUR_ROUTES:
-            rep = _CONTOUR_ROUTES[name](spec, plus, minus, cfg)
-            results[name] = {"value": rep.value, "err_estimate": rep.err_estimate,
-                             "evals": rep.evals, "converged": _report_ok(rep),
-                             "report": report_to_dict(rep)}
-        elif name == "fox":
-            out = classical.fox_limit(spec, cfg=cfg)
-            results[name] = {"value": out["value"], "err_estimate": out["err_estimate"],
-                             "evals": 0, "converged": out["converged"]}
-        elif name == "series":
-            value = classical.series_fpi(classical.taylor_from_expr(spec), spec)
-            results[name] = {"value": value, "err_estimate": 1e-14, "evals": 0,
-                             "converged": True}
-        elif name == "spf":
-            rep = spf.boundary_values(spec, cfg=cfg)
-            value = 0.5 * (rep.phi_plus + rep.phi_minus).real
-            results[name] = {"value": value, "err_estimate": rep.extrapolation_err,
-                             "evals": rep.evals, "converged": rep.converged,
-                             "report": spf.boundary_report_to_dict(rep)}
-    for r in results.values():  # a value that is not finite has not converged
-        r["converged"] = r["converged"] and math.isfinite(r["value"])
-    return results
-
-
-def _report_ok(rep) -> bool:
-    return all(q.converged for q in rep.diagnostics.values())
+    return {name: asdict(ROUTES[name](spec, plus, minus, cfg)) for name in names}
 
 
 def _agreement(results: dict) -> dict:
@@ -187,7 +167,7 @@ def emit_report(args, spec: IntegralSpec, results: dict, agreement: dict, out=No
             "routes": results,
             "agreement": agreement,
         }
-        json.dump(doc, out, indent=2)
+        json.dump(doc, out, default=_complex_pair)
         out.write("\n")
     elif args.format == "csv":
         writer = csv.writer(out)
@@ -201,16 +181,24 @@ def emit_report(args, spec: IntegralSpec, results: dict, agreement: dict, out=No
         for name, r in results.items():
             out.write(f"{name:<10}{r['value']:>24.15g}{r['err_estimate']:>16.3g}"
                       f"{r['evals']:>10}\n")
-        if agreement["ok"]:
+        unconverged = [name for name, r in results.items() if not r["converged"]]
+        if unconverged:
+            out.write(f"NOT CONVERGED: {unconverged}\n")
+        elif agreement["ok"]:
             out.write("routes agree within tolerance\n")
         else:
             out.write(f"DISAGREEMENT: {agreement['worst_pair']} differ by "
                       f"{agreement['abs_diff']:.3g} (threshold {agreement['threshold']:.3g})\n")
 
 
-def _emit_integrand(args, spec: IntegralSpec):
-    import numpy as np
+def _complex_pair(obj):
+    """JSON form of a complex number, the one type in a result json lacks."""
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
+
+def _emit_integrand(args, spec: IntegralSpec):
     plus, _ = _contour_paths(args, spec)
     integrand = singular_integrand(spec)
     rows = []
@@ -233,9 +221,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         spec, cfg = _build_problem(args)
-        results = _run_routes(args, spec, cfg)
-        if args.emit_integrand:
-            _emit_integrand(args, spec)
+        with np.errstate(all="ignore"):  # a value that is not finite is not converged
+            results = _run_routes(args, spec, cfg)
+            if args.emit_integrand:
+                _emit_integrand(args, spec)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -19,7 +19,6 @@ __all__ = ["ExtrapolationResult", "richardson_zero"]
 class ExtrapolationResult:
     value: complex
     err_estimate: float
-    samples: tuple  # (h, raw_value) pairs actually used
     diverged: bool
 
 
@@ -56,8 +55,5 @@ def richardson_zero(hs, ys, max_order: int = 6) -> ExtrapolationResult:
     # divergence: tail of the first column moving away from the estimate
     diffs = np.abs(ys - best)
     diverged = bool(m >= 3 and diffs[-1] > diffs[-2] > diffs[-3] and best_err > 10 * abs(diffs[-3]))
-    value = complex(best)
-    return ExtrapolationResult(value=value,
-                               err_estimate=float(best_err),
-                               samples=tuple(zip(hs.tolist(), [complex(y) for y in ys])),
+    return ExtrapolationResult(value=complex(best), err_estimate=float(best_err),
                                diverged=diverged)

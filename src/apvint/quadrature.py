@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .paths import ComplexPath, IntegralSpec
 __all__ = [
     "QuadConfig",
     "QuadResult",
+    "RouteResult",
     "integrate_function",
     "integrate_on_path",
     "integrate_path",
@@ -110,6 +111,26 @@ class QuadResult:
         )
 
 
+@dataclass(frozen=True)
+class RouteResult:
+    """What every route returns: value, error estimate, integrand evaluations,
+    convergence (never of a value that is not finite), the QuadResults the
+    value is built from (`diagnostics`) and all else it computed (`detail`).
+    Scalars are stored as plain Python ones."""
+
+    value: float
+    err_estimate: float
+    evals: int
+    converged: bool
+    diagnostics: dict = field(default_factory=dict)
+    detail: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name, kind in (("value", float), ("err_estimate", float), ("evals", int)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
+        object.__setattr__(self, "converged", bool(self.converged) and math.isfinite(self.value))
+
+
 def _kronrod_panel(g, lo, hi):
     """One (G7, K15) panel: returns (k15, |k15-g7|, abs_k15)."""
     half = 0.5 * (hi - lo)
@@ -181,7 +202,7 @@ def integrate_function(g, lo: float, hi: float, cfg: QuadConfig) -> QuadResult:
     value = sum(item[3] for item in intervals)
     err = float(sum(item[4] for item in intervals))
     absint = float(sum(item[5] for item in intervals))
-    converged = err <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
+    converged = bool(err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)))
     return QuadResult(sign * complex(value), err, evals, converged, absint)
 
 

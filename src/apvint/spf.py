@@ -9,37 +9,22 @@ the principal value, and each equals the opposite-side contour integral.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .apv import apv_average
 from .extrapolate import richardson_zero
 from .paths import ComplexPath, IntegralSpec
-from .quadrature import QuadConfig, QuadResult, integrate_function, singular_integrand
+from .quadrature import QuadConfig, QuadResult, RouteResult, integrate_function, singular_integrand
 
 __all__ = [
-    "BoundaryReport",
     "phi_at",
     "default_y_schedule",
     "boundary_values",
     "spf_identity_check",
-    "boundary_report_to_dict",
 ]
 
 Y_FLOOR_FACTOR = 1e-4  # conditioning floor for the y schedule, times (b - a)
 EXTRAPOLATION_ORDER = 4  # Richardson columns over the y schedule
-
-
-@dataclass(frozen=True)
-class BoundaryReport:
-    phi_plus: complex
-    phi_minus: complex
-    y_samples: tuple  # (y, phi(x0 + iy), phi(x0 - iy))
-    extrapolation_err: float
-    converged: bool
-    evals: int
 
 
 def phi_at(spec: IntegralSpec, z: complex, cfg: QuadConfig | None = None) -> QuadResult:
@@ -87,9 +72,11 @@ def default_y_schedule(spec: IntegralSpec) -> tuple:
     return tuple(ys)
 
 
-def boundary_values(spec: IntegralSpec, cfg: QuadConfig | None = None) -> BoundaryReport:
+def boundary_values(spec: IntegralSpec, cfg: QuadConfig | None = None) -> RouteResult:
     """Extrapolate Phi(x0 +/- i y) to y = 0 separately for each sign, over
-    default_y_schedule."""
+    default_y_schedule. The value is the real part of the mean of the two
+    limits; detail holds them as "phi_plus" and "phi_minus", and the
+    samples as "y_samples", (y, Phi(x0 + iy), Phi(x0 - iy)) triples."""
     ys = default_y_schedule(spec)
     upper, lower = [], []
     evals = 0
@@ -103,41 +90,21 @@ def boundary_values(spec: IntegralSpec, cfg: QuadConfig | None = None) -> Bounda
         converged = converged and ru.converged and rl.converged
     eu = richardson_zero(np.array(ys), np.array(upper), max_order=EXTRAPOLATION_ORDER)
     el = richardson_zero(np.array(ys), np.array(lower), max_order=EXTRAPOLATION_ORDER)
-    return BoundaryReport(
-        phi_plus=eu.value,
-        phi_minus=el.value,
-        y_samples=tuple(zip(ys, upper, lower)),
-        extrapolation_err=max(eu.err_estimate, el.err_estimate),
-        converged=converged and not (eu.diverged or el.diverged),
-        evals=evals,
-    )
+    return RouteResult(0.5 * (eu.value + el.value).real, max(eu.err_estimate, el.err_estimate),
+                       evals, converged and not (eu.diverged or el.diverged),
+                       detail={"phi_plus": eu.value, "phi_minus": el.value,
+                               "y_samples": tuple(zip(ys, upper, lower))})
 
 
 def spf_identity_check(spec: IntegralSpec, path_plus: ComplexPath,
                        path_minus: ComplexPath, cfg: QuadConfig | None = None) -> dict:
     """Compare boundary values against the opposite-side contour integrals,
     read from the contour-average route (which checks each path's side)."""
-    contours = apv_average(spec, path_plus, path_minus, cfg)
+    sides = apv_average(spec, path_plus, path_minus, cfg).diagnostics
     report = boundary_values(spec, cfg)
-    d1 = abs(report.phi_plus - contours.int_minus)
-    d2 = abs(report.phi_minus - contours.int_plus)
-    return {
-        "max_abs_diff": max(d1, d2),
-        "phi_plus": report.phi_plus,
-        "phi_minus": report.phi_minus,
-        "int_plus": contours.int_plus,
-        "int_minus": contours.int_minus,
-        "extrapolation_err": report.extrapolation_err,
-    }
-
-
-def boundary_report_to_dict(report: BoundaryReport) -> dict:
-    return {
-        "phi_plus": [report.phi_plus.real, report.phi_plus.imag],
-        "phi_minus": [report.phi_minus.real, report.phi_minus.imag],
-        "extrapolation_err": report.extrapolation_err,
-        "converged": report.converged,
-        "evals": report.evals,
-        "y_samples": [[y, [u.real, u.imag], [l.real, l.imag]]
-                      for y, u, l in report.y_samples],
-    }
+    out = {"phi_plus": report.detail["phi_plus"], "phi_minus": report.detail["phi_minus"],
+           "int_plus": sides["int_plus"].value, "int_minus": sides["int_minus"].value,
+           "extrapolation_err": report.err_estimate}
+    out["max_abs_diff"] = max(abs(out["phi_plus"] - out["int_minus"]),
+                              abs(out["phi_minus"] - out["int_plus"]))
+    return out

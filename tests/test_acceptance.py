@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from apvint.apv import apv_average, apv_lower, apv_upper, default_paths, jump_relation_check
-from apvint.classical import fox_limit, series_fpi, taylor_from_expr
+from apvint.classical import fox_limit, series_fpi
 from apvint.cosexample import cos_apv_reference, cos_fpi_asymptotic
 from apvint.expr import evaluate, parse, to_source
 from apvint.paths import classify_side, semicircle_path
@@ -104,8 +104,8 @@ def test_criterion_07_oracle_triangle():
     worst = 0.0
     for spec in entire_corpus():
         contour = apv_average(spec).value
-        fox = fox_limit(spec)["value"]
-        series = series_fpi(taylor_from_expr(spec), spec)
+        fox = fox_limit(spec).value
+        series = series_fpi(spec).value
         worst = max(worst, abs(contour - fox), abs(contour - series),
                     abs(fox - series))
     verdict(7, "contour / eps-limit / series routes agree",
@@ -122,17 +122,16 @@ def test_criterion_08_boundary_value_identities():
         int_plus = apv_upper(spec, plus)
         int_minus = apv_lower(spec, minus)
         worst = max(worst,
-                    abs(rep.phi_plus - complex(int_minus.int_minus)),
-                    abs(rep.phi_minus - complex(int_plus.int_plus)),
-                    abs(0.5 * (rep.phi_plus + rep.phi_minus).real
-                        - apv_average(spec, plus, minus).value))
+                    abs(rep.detail["phi_plus"] - int_minus.diagnostics["int_minus"].value),
+                    abs(rep.detail["phi_minus"] - int_plus.diagnostics["int_plus"].value),
+                    abs(rep.value - apv_average(spec, plus, minus).value))
     verdict(8, "boundary values match opposite-side contours",
             worst <= 1e-6, f"worst diff {worst:.2e}")
 
 
 def test_criterion_09_divergence_witness():
     out = fox_limit(make_spec("cos(z)", -1, 1, 0, 1))
-    worst = max(abs(v * eps - 2.0) for eps, v in out["raw_samples"][-3:])
+    worst = max(abs(v * eps - 2.0) for eps, v in out.detail["raw_samples"][-3:])
     verdict(9, "raw symmetric sum diverges like 2 f(0)/eps",
             worst <= 0.05, f"worst |S_raw*eps - 2| {worst:.2e}")
 

@@ -2,9 +2,11 @@ import math
 
 import pytest
 
+from apvint import classical
 from apvint.apv import apv_average
-from apvint.classical import (TaylorCoeffs, divergent_terms, fox_limit, series_Fn,
-                              series_fpi, taylor_from_expr)
+from apvint.classical import (DEFAULT_EPS_TERMS, TAYLOR_SAMPLES, TaylorCoeffs, divergent_terms,
+                              fox_limit, series_Fn, series_fpi, taylor_from_expr)
+from apvint.quadrature import integrate_real_segment
 
 from conftest import COS_FPI_N1, COS_FPI_N3, exp_cpv_series, make_spec
 
@@ -72,31 +74,47 @@ class TestSeriesFn:
 class TestSeriesCpvFpi:
     def test_cos_cpv_vanishes(self):
         spec = make_spec("cos(z)", -1, 1, 0, 0)
-        assert series_fpi(taylor_from_expr(spec), spec) == pytest.approx(0.0, abs=1e-13)
+        assert series_fpi(spec).value == pytest.approx(0.0, abs=1e-13)
 
     def test_exp_cpv(self):
         spec = make_spec("exp(z)", -1, 2, 0, 0)
-        value = series_fpi(taylor_from_expr(spec), spec)
+        value = series_fpi(spec).value
         assert value == pytest.approx(exp_cpv_series(-1, 2), abs=1e-11)
 
     def test_constant_leaves_log_term(self):
         spec = make_spec("1", -1, 3, 0, 0)
-        assert series_fpi(taylor_from_expr(spec), spec) == pytest.approx(math.log(3.0), abs=1e-12)
+        assert series_fpi(spec).value == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_cos_fpi_golden(self):
         for n, expect in ((1, COS_FPI_N1), (3, COS_FPI_N3)):
             spec = make_spec("cos(z)", -1, 1, 0, n)
-            assert series_fpi(taylor_from_expr(spec), spec) == pytest.approx(expect, abs=1e-12)
+            assert series_fpi(spec).value == pytest.approx(expect, abs=1e-12)
 
     def test_cos_fpi_even_vanishes(self):
         spec = make_spec("cos(z)", -1, 1, 0, 2)
-        assert series_fpi(taylor_from_expr(spec), spec) == pytest.approx(0.0, abs=1e-13)
+        assert series_fpi(spec).value == pytest.approx(0.0, abs=1e-13)
 
     def test_radius_check_failure(self):
-        coeffs = TaylorCoeffs(tuple([1.0] * 8), radius_check=0.5)
-        spec = make_spec("exp(z)", -1, 1, 0, 0)
+        # the circle keeps within 0.9 of the way to the poles, short of the reach 1
+        spec = make_spec("1/(1+4*z^2)", -1, 1, 0, 0, poles=(0.5j, -0.5j))
         with pytest.raises(ValueError, match="radius"):
-            series_fpi(coeffs, spec)
+            series_fpi(spec)
+
+    # closed forms; the last is -1/x^2 - 1/(1+x^2) integrated, as 1/(x^2 (1+x^2))
+    @pytest.mark.parametrize("source, a, b, n, poles, expect", [
+        ("cos(z)", -1, 1, 1, (), COS_FPI_N1),
+        ("cos(z)", -1, 1, 3, (), COS_FPI_N3),
+        ("1/(1+z^2)", -0.5, 0.5, 1, (1j, -1j), -4.0 - 2.0 * math.atan(0.5)),
+    ])
+    def test_error_estimate_covers_error(self, source, a, b, n, poles, expect):
+        out = series_fpi(make_spec(source, a, b, 0, n, poles=poles))
+        assert abs(out.value - expect) <= out.err_estimate <= 1e-12
+        assert out.converged and out.evals == TAYLOR_SAMPLES
+
+    def test_error_estimate_follows_the_problem(self):
+        errs = {series_fpi(make_spec(source, -1, 1, 0, n)).err_estimate
+                for source, n in (("cos(z)", 1), ("cos(z)", 3), ("exp(3*z)", 1))}
+        assert len(errs) == 3
 
 
 class TestDivergentTerms:
@@ -117,29 +135,43 @@ class TestFoxLimit:
     def test_cos_cpv_zero(self):
         spec = make_spec("cos(z)", -1, 1, 0, 0)
         out = fox_limit(spec)
-        assert out["value"] == pytest.approx(0.0, abs=1e-9)
-        assert out["converged"]
+        assert out.value == pytest.approx(0.0, abs=1e-9)
+        assert out.converged
 
     def test_cos_n1_golden(self):
         spec = make_spec("cos(z)", -1, 1, 0, 1)
         out = fox_limit(spec)
-        assert out["value"] == pytest.approx(COS_FPI_N1, abs=1e-8)
+        assert out.value == pytest.approx(COS_FPI_N1, abs=1e-8)
 
     def test_constant_asymmetric_log(self):
         spec = make_spec("1", -1, 2, 0, 0)
         out = fox_limit(spec)
-        assert out["value"] == pytest.approx(math.log(2.0), abs=1e-9)
+        assert out.value == pytest.approx(math.log(2.0), abs=1e-9)
 
     def test_matches_contour_route(self):
         spec = make_spec("exp(z)", -1, 1, 0, 2)
         out = fox_limit(spec)
-        assert out["value"] == pytest.approx(apv_average(spec).value, abs=1e-7)
+        assert out.value == pytest.approx(apv_average(spec).value, abs=1e-7)
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_evals_count_quadratures_and_taylor_samples(self, n, monkeypatch):
+        spent = []
+
+        def counted(*args, **kwargs):
+            q = integrate_real_segment(*args, **kwargs)
+            spent.append(q.evals)
+            return q
+
+        monkeypatch.setattr(classical, "integrate_real_segment", counted)
+        out = fox_limit(make_spec("cos(z)", -1, 1, 0, n))
+        assert len(spent) == 2 * DEFAULT_EPS_TERMS
+        assert out.evals == sum(spent) + (TAYLOR_SAMPLES if n else 0)
 
     def test_raw_divergence_witness(self):
         # S_raw(eps) ~ 2 f(0) / eps for n = 1
         spec = make_spec("cos(z)", -1, 1, 0, 1)
         out = fox_limit(spec)
-        raw = out["raw_samples"]
+        raw = out.detail["raw_samples"]
         mags = [abs(v) for _, v in raw]
         assert all(m2 > m1 for m1, m2 in zip(mags, mags[1:]))
         for eps, v in raw[-3:]:
@@ -151,15 +183,15 @@ class TestFoxLimit:
         spec = make_spec("1/(1+z^2)", -0.5, 0.8, 0.1, n, poles=(1j, -1j))
         out = fox_limit(spec)
         contour = apv_average(spec).value
-        assert out["converged"]
-        assert abs(out["value"] - contour) <= out["err_estimate"]
-        assert out["value"] == pytest.approx(contour, abs=1e-8)
-        series = series_fpi(taylor_from_expr(spec), spec)
-        assert out["value"] == pytest.approx(series, abs=1e-8)
+        assert out.converged
+        assert abs(out.value - contour) <= out.err_estimate
+        assert out.value == pytest.approx(contour, abs=1e-8)
+        series = series_fpi(spec).value
+        assert out.value == pytest.approx(series, abs=1e-8)
 
     def test_fast_growing_numerator_near_endpoint(self):
         # |cos(20 z)| reaches ~1e17 on a circle of the interval's reach; the
         # divergent terms need c_0 from a circle close to x0
         spec = make_spec("cos(20*z)", -1, 1, 0.9, 1)
         out = fox_limit(spec)
-        assert out["value"] == pytest.approx(apv_average(spec).value, abs=1e-8)
+        assert out.value == pytest.approx(apv_average(spec).value, abs=1e-8)

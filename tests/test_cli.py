@@ -3,6 +3,7 @@ import functools
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -85,6 +86,24 @@ class TestExitCodes:
         assert rc == EXIT_NUMERICAL
         assert "routes agree" not in out
 
+    def test_numpy_warnings_stay_off_stderr(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run_cli(capsys, "--f", "exp(exp(exp(z)))", "-a", "-1", "-b", "3",
+                                   "--x0", "0", "--routes", "average,fox,spf")
+        assert rc == EXIT_NUMERICAL
+        assert err == ""
+        assert "NOT CONVERGED: ['average', 'fox', 'spf']" in out
+
+    def test_unconverged_residue_exits_numerical(self, capsys):
+        # the residue on the circle of radius 1/2 does not converge at n = 61,
+        # and the one-path routes add it into their value
+        rc, out, _ = run_cli(capsys, "--f", "cos(z)", "-a", "-1", "-b", "1", "--x0", "0",
+                             "--routes", "average,upper,lower,series", "-n", "61")
+        assert rc == EXIT_NUMERICAL
+        assert "routes agree" not in out
+        assert "NOT CONVERGED: ['upper', 'lower']" in out
+
     def test_lone_infinite_value_is_disagreement(self):
         agreement = cli._agreement({"series": {"value": math.inf, "err_estimate": 1e-14}})
         assert agreement["ok"] is False
@@ -144,6 +163,26 @@ class TestReports:
         assert doc["routes"]["spf"]["value"] == pytest.approx(COS_FPI_N1, abs=1e-6)
 
 
+    def test_every_route_reports_the_same_fields(self, capsys):
+        rc, out, _ = run_cli(capsys, "--f", "cos(z)", "-a", "-1", "-b", "1", "--x0", "0",
+                             "-n", "1", "--routes", ",".join(cli.ROUTES), "--format", "json")
+        assert rc == EXIT_OK
+        routes = json.loads(out)["routes"]
+        assert list(routes) == list(cli.ROUTES)
+        for name, r in routes.items():
+            assert set(r) == {"value", "err_estimate", "evals", "converged", "diagnostics",
+                              "detail"}, name
+            assert r["evals"] > 0 and r["converged"] is True, name
+            for q in r["diagnostics"].values():
+                assert len(q["value"]) == 2  # complex, as [re, im]
+        assert set(routes["average"]["diagnostics"]) == {"int_plus", "int_minus"}
+        assert set(routes["upper"]["diagnostics"]) == {"int_plus", "residue"}
+        assert set(routes["lower"]["diagnostics"]) == {"int_minus", "residue"}
+        assert set(routes["fox"]["detail"]) == {"samples", "raw_samples"}
+        assert set(routes["spf"]["detail"]) == {"phi_plus", "phi_minus", "y_samples"}
+        assert set(routes["series"]["detail"]) == {"radius"}
+
+
 class TestPathInputs:
     def test_path_eps(self, capsys):
         rc, out, _ = run_cli(capsys, "--f", "cos(z)", "-a", "-1", "-b", "1",
@@ -175,7 +214,8 @@ class TestPathInputs:
         assert rc == EXIT_OK
         routes = json.loads(out)["routes"]
         want = integrate_path(spec, semicircle_path(spec, 0.4, "above")).value
-        assert complex(*routes["upper"]["report"]["int_plus"]) == pytest.approx(want, abs=1e-12)
+        got = complex(*routes["upper"]["diagnostics"]["int_plus"]["value"])
+        assert got == pytest.approx(want, abs=1e-12)
         assert routes["upper"]["value"] == pytest.approx(COS_FPI_N1, abs=1e-8)
 
     def test_path_file_side_read_from_geometry(self, capsys, tmp_path):

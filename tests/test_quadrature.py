@@ -191,7 +191,7 @@ def _reference_integrate(g, lo, hi, cfg):
     value = sum(item[3] for item in intervals)
     err = float(sum(item[4] for item in intervals))
     absint = float(sum(item[5] for item in intervals))
-    converged = err <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
+    converged = bool(err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)))
     return QuadResult(sign * complex(value), err, evals, converged, absint)
 
 

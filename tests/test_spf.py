@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from apvint.apv import apv_average, default_paths
 from apvint.quadrature import QuadConfig, integrate_function
-from apvint.spf import (boundary_report_to_dict, boundary_values,
-                        default_y_schedule, phi_at, spf_identity_check)
+from apvint.spf import boundary_values, default_y_schedule, phi_at, spf_identity_check
 
 from conftest import COS_FPI_N1, make_spec
 
@@ -51,34 +50,34 @@ class TestBoundaryValues:
     def test_cos_n0(self):
         spec = make_spec("cos(z)", -1, 1, 0, 0)
         rep = boundary_values(spec)
-        assert rep.phi_plus == pytest.approx(1j * math.pi, abs=1e-7)
-        assert rep.phi_minus == pytest.approx(-1j * math.pi, abs=1e-7)
+        assert rep.detail["phi_plus"] == pytest.approx(1j * math.pi, abs=1e-7)
+        assert rep.detail["phi_minus"] == pytest.approx(-1j * math.pi, abs=1e-7)
 
     def test_cos_n1_residue_free(self):
         spec = make_spec("cos(z)", -1, 1, 0, 1)
         rep = boundary_values(spec)
-        assert rep.phi_plus == pytest.approx(COS_FPI_N1, abs=1e-6)
-        assert rep.phi_minus == pytest.approx(COS_FPI_N1, abs=1e-6)
+        assert rep.detail["phi_plus"] == pytest.approx(COS_FPI_N1, abs=1e-6)
+        assert rep.detail["phi_minus"] == pytest.approx(COS_FPI_N1, abs=1e-6)
 
     def test_constant_n0(self):
         spec = make_spec("1", -1, 1, 0, 0)
         rep = boundary_values(spec)
-        assert rep.phi_plus == pytest.approx(1j * math.pi, abs=1e-8)
+        assert rep.detail["phi_plus"] == pytest.approx(1j * math.pi, abs=1e-8)
 
     def test_jump_and_reality_invariants(self):
         spec = make_spec("exp(z)", -1, 1, 0, 1)
         rep = boundary_values(spec)
-        tol = max(rep.extrapolation_err * 10, 1e-6)
+        tol = max(rep.err_estimate * 10, 1e-6)
         # real parts agree
-        assert rep.phi_plus.real == pytest.approx(rep.phi_minus.real, abs=tol)
+        assert rep.detail["phi_plus"].real == pytest.approx(rep.detail["phi_minus"].real, abs=tol)
         # jump equals 2*pi*i*f'(0) = 2*pi*i
-        jump = rep.phi_plus - rep.phi_minus
+        jump = rep.detail["phi_plus"] - rep.detail["phi_minus"]
         assert jump == pytest.approx(2j * math.pi, abs=tol)
 
     def test_monotone_tail_convergence(self):
         spec = make_spec("cos(z)", -1, 1, 0, 0)
         rep = boundary_values(spec)
-        errs = [abs(u - rep.phi_plus) for _, u, _ in rep.y_samples]
+        errs = [abs(u - rep.detail["phi_plus"]) for _, u, _ in rep.detail["y_samples"]]
         assert all(b < a for a, b in zip(errs[-4:], errs[-3:]))
 
 
@@ -99,7 +98,7 @@ class TestIdentities:
     def test_average_identity(self):
         spec = make_spec("exp(z)", -1, 1, 0, 1)
         rep = boundary_values(spec)
-        avg = 0.5 * (rep.phi_plus + rep.phi_minus)
+        avg = 0.5 * (rep.detail["phi_plus"] + rep.detail["phi_minus"])
         assert avg.real == pytest.approx(apv_average(spec).value, abs=1e-6)
 
 
@@ -115,13 +114,6 @@ def test_conjugate_symmetry(y, x):
 
 
 class TestSerialization:
-    def test_report_dict(self):
-        spec = make_spec("cos(z)", -1, 1, 0, 0)
-        doc = boundary_report_to_dict(boundary_values(spec))
-        assert set(doc) == {"phi_plus", "phi_minus", "extrapolation_err",
-                            "converged", "evals", "y_samples"}
-        assert len(doc["phi_plus"]) == 2
-
     def test_default_schedule_shape(self):
         spec = make_spec("cos(z)", -1, 1, 0, 0)
         ys = default_y_schedule(spec)
