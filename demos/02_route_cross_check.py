@@ -5,9 +5,13 @@ Five independent routes compute the same principal value / finite part:
   average   mean of the above- and below-pole contour integrals
   upper     above-pole contour plus i*pi times the residue term
   lower     below-pole contour minus i*pi times the residue term
-  fox       symmetric epsilon-limit with divergent terms subtracted,
-            Richardson-extrapolated to epsilon -> 0
-  series    closed form from the Taylor coefficients of the numerator
+  fox       Fox's symmetric limit closed at one epsilon: its own real-axis
+            quadrature outside [x0 - eps, x0 + eps], plus the Taylor
+            series' finite part over that window
+  series    the same Taylor window sum over all of [a, b]
+
+fox and series share the Taylor kernel and the window sum; the real-axis
+quadrature is fox's own.
 
 Agreement across routes is the strongest correctness evidence the library
 offers, since the routes share almost no code.

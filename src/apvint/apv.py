@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-from .paths import (Arc, ComplexPath, IntegralSpec, Line, classify_side, default_circle_radius,
-                    semicircle_path)
+from .paths import Arc, ComplexPath, IntegralSpec, Line, classify_side, semicircle_path
 from .quadrature import (QuadConfig, QuadResult, RouteResult, integrate_on_path, integrate_path,
                          singular_integrand)
 
@@ -25,6 +24,11 @@ __all__ = [
     "apv_lower",
     "jump_relation_check",
 ]
+
+
+def default_circle_radius(spec: IntegralSpec) -> float:
+    """Half the distance from x0 to the nearest interval endpoint or declared pole."""
+    return min([spec.pole_gap / 2] + [abs(p - spec.x0) * 0.5 for p in spec.decl.declared_poles])
 
 
 def derivative_at_pole(spec: IntegralSpec, cfg: QuadConfig | None = None) -> QuadResult:

@@ -1,15 +1,15 @@
 """Classical definitions used as independent oracles.
 
-Two oracles live here:
+Both oracles read one Taylor kernel, `taylor_from_expr`, and one window sum,
+`_window`: the finite part of the Taylor series of f about x0, term by term,
+over a window about x0.
 
-* the symmetric epsilon-limit (Cauchy principal value for n=0, Hadamard
-  finite part for n>=1), realized by subtracting the known divergent terms
-  H_n(x0, eps) from the two-sided real integrals and Richardson-extrapolating
-  eps -> 0;
-
-* closed-form Taylor-series evaluation for functions whose complex extension
-  is entire (or analytic on a large enough disk about x0), where the
-  principal value reduces to rapidly convergent series plus a logarithm.
+* `fox_limit`: Fox's symmetric limit (Cauchy principal value for n = 0,
+  Hadamard finite part for n >= 1). Its own real-axis quadrature outside
+  [x0 - eps, x0 + eps] plus the window sum inside, which is minus the
+  divergent terms H_n(eps) over k < n and the remainder of the limit
+  eps -> 0 over k > n, so one eps closes the limit.
+* `series_fpi`: the window sum over all of [a, b].
 """
 
 from __future__ import annotations
@@ -20,13 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import evaluate
-from .extrapolate import richardson_zero
-from .paths import IntegralSpec, default_circle_radius
+from .paths import IntegralSpec
 from .quadrature import QuadConfig, RouteResult, integrate_real_segment
 
 __all__ = [
     "TaylorCoeffs",
-    "divergent_terms",
     "fox_limit",
     "series_Fn",
     "series_fpi",
@@ -34,10 +32,6 @@ __all__ = [
 ]
 
 
-# Richardson columns over the eps samples of fox_limit
-FOX_EXTRAPOLATION_ORDER = 6
-# eps samples of fox_limit: this many, halving from a quarter of the pole gap
-DEFAULT_EPS_TERMS = 12
 # trapezoid nodes on the circle of taylor_from_expr (at least 4 per coefficient)
 TAYLOR_SAMPLES = 512
 
@@ -59,56 +53,26 @@ class TaylorCoeffs:
         return len(self.c)
 
 
-def divergent_terms(c, n: int, eps: float) -> float:
-    """H_n(x0, eps): the eps-divergent part removed by the finite-part limit.
-
-    `c` holds the Taylor coefficients c_k = f^(k)(x0) / k! for k = 0..n-1.
-    Terms with even n-k cancel between the two sides of x0, and the others
-    count twice.
-    """
-    total = 0.0
-    for k in range(n):
-        if (n - k) % 2:
-            total += c[k] / (n - k) * 2 / eps ** (n - k)
-    return total
-
-
 def fox_limit(spec: IntegralSpec, cfg: QuadConfig | None = None) -> RouteResult:
-    """Symmetric-removal limit with the divergent terms subtracted.
+    """Fox's symmetric limit, closed at one eps: the real integrals over
+    [a, x0 - eps] and [x0 + eps, b] plus _window(-eps, eps).
 
-    The two-sided real integrals are taken at DEFAULT_EPS_TERMS values of eps,
-    halving from a quarter of the pole gap; H_n reads c_0..c_{n-1} from
-    taylor_from_expr on the residue's circle, of radius default_circle_radius
-    (none at n = 0): a wider circle reaches where f is large and spoils the
-    low coefficients by rounding. detail holds (eps, sum) pairs of the
-    H_n-subtracted two-sided sums ("samples") and of the unsubtracted ones
-    ("raw_samples"), which diverge for n >= 1.
+    c_k come from taylor_from_expr on a circle of radius r = 2 pole_gap, less
+    if declared poles cap it, and eps = r / 2, so the window's terms fall off
+    like 2^-k. detail holds "eps" and "radius".
     """
     cfg = cfg or QuadConfig()
-    eps_values = tuple(spec.pole_gap / 4 * 2.0 ** (-k) for k in range(DEFAULT_EPS_TERMS))
-    taylor = (taylor_from_expr(spec, spec.n, default_circle_radius(spec)) if spec.n
-              else TaylorCoeffs((), 0.0))
-    samples, raw_samples = [], []
-    quad_err_floor = np.inf
-    converged = True
-    evals = taylor.evals
-    for eps in eps_values:
-        left = integrate_real_segment(spec, spec.a, spec.x0 - eps, cfg)
-        right = integrate_real_segment(spec, spec.x0 + eps, spec.b, cfg)
-        raw = (left.value + right.value).real
-        raw_samples.append((eps, raw))
-        samples.append(raw - divergent_terms(taylor.c, spec.n, eps))
-        # noisy small-eps samples are discounted by the extrapolation's own
-        # consistency estimate; only the cleanest sample bounds from below
-        quad_err_floor = min(quad_err_floor, left.err_estimate + right.err_estimate)
-        converged = converged and left.converged and right.converged
-        evals += left.evals + right.evals
-    ext = richardson_zero(np.array(eps_values), np.array(samples, dtype=np.complex128),
-                          max_order=FOX_EXTRAPOLATION_ORDER)
-    return RouteResult(ext.value.real, max(ext.err_estimate, quad_err_floor), evals,
-                       converged and not ext.diverged,
-                       detail={"samples": list(zip(eps_values, samples)),
-                               "raw_samples": raw_samples})
+    coeffs = taylor_from_expr(spec, radius=2 * spec.pole_gap)
+    r = coeffs.radius_check
+    eps = r / 2
+    left = integrate_real_segment(spec, spec.a, spec.x0 - eps, cfg)
+    right = integrate_real_segment(spec, spec.x0 + eps, spec.b, cfg)
+    window, window_err = _window(coeffs, spec.n, -eps, eps)
+    return RouteResult((left.value + right.value).real + window,
+                       left.err_estimate + right.err_estimate + window_err,
+                       coeffs.evals + left.evals + right.evals,
+                       left.converged and right.converged,
+                       detail={"eps": eps, "radius": r})
 
 
 def series_Fn(coeffs: TaylorCoeffs, n: int, s: float):
@@ -122,9 +86,7 @@ def series_Fn(coeffs: TaylorCoeffs, n: int, s: float):
     K = len(coeffs)
     total = 0.0
     last = 0.0
-    for k in range(n):
-        if k >= K:
-            break
+    for k in range(min(n, K)):
         term = -coeffs.c[k] / ((n - k) * s ** (n - k))
         total += term
         last = abs(term)
@@ -135,24 +97,15 @@ def series_Fn(coeffs: TaylorCoeffs, n: int, s: float):
     return total, last
 
 
-def series_fpi(spec: IntegralSpec) -> RouteResult:
-    """Closed-form value from the Taylor series about x0: the finite part for
-    n >= 1 and the Cauchy principal value for n = 0.
+def _window(coeffs: TaylorCoeffs, n: int, sa: float, sb: float):
+    """(value, err): the Taylor series' finite part over [x0 + sa, x0 + sb],
+    sa < 0 < sb, as F_n(sb) - F_n(sa) + c_n log(sb / -sa) by series_Fn.
 
-    F_n(s_b) - F_n(s_a) + c_n log(s_b / -s_a), with F_n from series_Fn over
-    taylor_from_expr(spec), whose circle's "radius" r is in detail. The error
-    is the two last terms plus rounding: eps * max|f| / r^k in sampling c_k,
-    and as much again (Cauchy's |c_k| <= max|f| / r^k) in its term, carried
-    with weight |s|^(k-n) / |k-n| for s in {s_a, s_b}, |log(s_b / -s_a)| at k = n.
-    """
-    coeffs = taylor_from_expr(spec)
-    n, r = spec.n, coeffs.radius_check
-    reach = max(abs(spec.a - spec.x0), abs(spec.b - spec.x0))
-    if r < reach:
-        raise ValueError(f"series radius {r} does not cover the interval reach {reach}")
-    if len(coeffs) < n + 2:
-        raise ValueError(f"need at least n+2 = {n + 2} coefficients, have {len(coeffs)}")
-    sb, sa = spec.b - spec.x0, spec.a - spec.x0
+    err is the two last terms plus rounding: eps * max|f| / r^k in sampling c_k
+    on the circle of radius r, and as much again (Cauchy's |c_k| <= max|f| / r^k)
+    in its term, with weight |s|^(k-n) / |k-n| for s in {sa, sb}, |log(sb / -sa)|
+    at k = n."""
+    r = coeffs.radius_check
     fb, last_b = series_Fn(coeffs, n, sb)
     fa, last_a = series_Fn(coeffs, n, sa)
     log_ratio = math.log(sb) - math.log(-sa)
@@ -161,22 +114,37 @@ def series_fpi(spec: IntegralSpec) -> RouteResult:
     weight = abs(log_ratio) / r ** n + sum(
         (abs(s) / r) ** k / abs(s) ** n / abs(k - n)
         for s in (sa, sb) for k in range(len(coeffs)) if k != n)
-    err = last_a + last_b + 2 * np.finfo(float).eps * coeffs.f_max * weight
+    return value, last_a + last_b + 2 * np.finfo(float).eps * coeffs.f_max * weight
+
+
+def series_fpi(spec: IntegralSpec) -> RouteResult:
+    """Closed-form finite part (Cauchy principal value at n = 0): the window
+    sum _window over all of [a, b] on taylor_from_expr(spec), whose circle's
+    "radius" r is in detail."""
+    coeffs = taylor_from_expr(spec)
+    r = coeffs.radius_check
+    reach = max(abs(spec.a - spec.x0), abs(spec.b - spec.x0))
+    if r < reach:
+        raise ValueError(f"series radius {r} does not cover the interval reach {reach}")
+    value, err = _window(coeffs, spec.n, spec.a - spec.x0, spec.b - spec.x0)
     return RouteResult(value, err, coeffs.evals, True, detail={"radius": r})
 
 
-def taylor_from_expr(spec: IntegralSpec, K: int = 64,
+def taylor_from_expr(spec: IntegralSpec, K: int | None = None,
                      radius: float | None = None) -> TaylorCoeffs:
-    """Taylor coefficients about x0 by uniform sampling of the Cauchy integral
-    on a circle (trapezoid rule on the circle is spectrally accurate).
+    """The first K Taylor coefficients about x0 (by default max(64, n + 48)),
+    by uniform sampling of the Cauchy integral on a circle (trapezoid rule on
+    the circle is spectrally accurate).
 
-    The circle has the given radius, else 1.1x the interval reach when declared
-    poles allow, otherwise the largest admissible radius (the caller sees the
-    shortfall in radius_check).
+    The circle has the given radius, else 1.1x the interval reach, capped at
+    0.9 of the way to any declared pole (the caller sees the radius used in
+    radius_check).
     """
+    if K is None:
+        K = max(64, spec.n + 48)
     if radius is None:
-        radius = min([max(abs(spec.a - spec.x0), abs(spec.b - spec.x0)) * 1.1]
-                     + [abs(p - spec.x0) * 0.9 for p in spec.decl.declared_poles])
+        radius = max(abs(spec.a - spec.x0), abs(spec.b - spec.x0)) * 1.1
+    radius = min([radius] + [abs(p - spec.x0) * 0.9 for p in spec.decl.declared_poles])
     if radius <= 0:
         raise ValueError("no admissible sampling circle about x0")
     m = max(TAYLOR_SAMPLES, 4 * K)

@@ -26,7 +26,6 @@ __all__ = [
     "Line",
     "Arc",
     "ComplexPath",
-    "default_circle_radius",
     "semicircle_path",
     "classify_side",
     "path_to_dict",
@@ -63,11 +62,6 @@ class IntegralSpec:
     def pole_gap(self) -> float:
         """Distance from x0 to the nearest interval endpoint."""
         return min(self.x0 - self.a, self.b - self.x0)
-
-
-def default_circle_radius(spec: IntegralSpec) -> float:
-    """Half the distance from x0 to the nearest interval endpoint or declared pole."""
-    return min([spec.pole_gap / 2] + [abs(p - spec.x0) * 0.5 for p in spec.decl.declared_poles])
 
 
 @dataclass(frozen=True)

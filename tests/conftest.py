@@ -19,19 +19,13 @@ def si_series(x: float) -> float:
     return total
 
 
-def cos_fpi_n1_series() -> float:
-    """-2 + 2 * sum_{j>=1} (-1)^j / ((2j)! (2j-1)); equals -2(cos 1 + Si 1)."""
-    total = -2.0
-    for j in range(1, 40):
-        total += 2.0 * (-1) ** j / (math.factorial(2 * j) * (2 * j - 1))
-    return total
-
-
-def cos_fpi_n3_series() -> float:
-    """1/3 + 2 * sum_{j>=2} (-1)^j / ((2j)! (2j-3)); equals (Si1+sin1-cos1)/3."""
-    total = 1.0 / 3.0
-    for j in range(2, 40):
-        total += 2.0 * (-1) ** j / (math.factorial(2 * j) * (2 * j - 3))
+def cos_fpi_series(n: int) -> float:
+    """Finite part of cos(x)/x^(n+1) over [-1, 1] for odd n, by direct
+    summation of sum_j 2 (-1)^j / ((2j)! (2j-n)); n = 1 gives -2(cos 1 + Si 1)
+    and n = 3 gives (Si1+sin1-cos1)/3."""
+    total = 0.0
+    for j in range(40):
+        total += 2.0 * (-1) ** j / (math.factorial(2 * j) * (2 * j - n))
     return total
 
 
@@ -43,8 +37,8 @@ def exp_cpv_series(a: float, b: float) -> float:
     return total
 
 
-COS_FPI_N1 = cos_fpi_n1_series()    # -2.972770752470645...
-COS_FPI_N3 = cos_fpi_n3_series()    # 0.415750583102313...
+COS_FPI_N1 = cos_fpi_series(1)    # -2.972770752470645...
+COS_FPI_N3 = cos_fpi_series(3)    # 0.415750583102313...
 
 
 # Contours for cos(z)/z^2 on [-1, 1]: a zigzag above 0 that crosses itself,

@@ -4,11 +4,11 @@ import pytest
 
 from apvint import classical
 from apvint.apv import apv_average
-from apvint.classical import (DEFAULT_EPS_TERMS, TAYLOR_SAMPLES, TaylorCoeffs, divergent_terms,
-                              fox_limit, series_Fn, series_fpi, taylor_from_expr)
+from apvint.classical import (TAYLOR_SAMPLES, TaylorCoeffs, _window, fox_limit, series_Fn,
+                              series_fpi, taylor_from_expr)
 from apvint.quadrature import integrate_real_segment
 
-from conftest import COS_FPI_N1, COS_FPI_N3, exp_cpv_series, make_spec
+from conftest import COS_FPI_N1, COS_FPI_N3, cos_fpi_series, exp_cpv_series, make_spec
 
 
 class TestTaylorFromExpr:
@@ -117,36 +117,37 @@ class TestSeriesCpvFpi:
         assert len(errs) == 3
 
 
-class TestDivergentTerms:
+class TestWindow:
+    # with c_k = 0 for k >= n the symmetric window sum is minus the divergent
+    # terms H_n(eps) that Fox's limit subtracts
     def test_n0_identically_zero(self):
-        assert divergent_terms([], 0, 1e-3) == 0.0
+        coeffs = TaylorCoeffs((0.0, 0.0), radius_check=2e-3)
+        assert _window(coeffs, 0, -1e-3, 1e-3)[0] == 0.0
 
     def test_even_gap_terms_vanish(self):
         # terms with even n - k cancel between the two sides of x0
-        c = [5.0, 0.0, 7.0, 0.0]  # c_0, c_2 nonzero but n - k even for k = 0, 2
-        assert divergent_terms(c, 4, 0.01) == 0.0
+        coeffs = TaylorCoeffs((5.0, 0.0, 7.0, 0.0, 0.0), radius_check=0.02)
+        assert _window(coeffs, 4, -0.01, 0.01)[0] == 0.0
 
     def test_n1_leading_term(self):
-        c = [3.0]
-        assert divergent_terms(c, 1, 0.25) == pytest.approx(2 * 3.0 / 0.25)
+        coeffs = TaylorCoeffs((3.0, 0.0), radius_check=0.5)
+        assert _window(coeffs, 1, -0.25, 0.25)[0] == pytest.approx(-2 * 3.0 / 0.25)
 
 
 class TestFoxLimit:
+    # closed forms: fox is exact to rounding, and its estimate covers the error
     def test_cos_cpv_zero(self):
-        spec = make_spec("cos(z)", -1, 1, 0, 0)
-        out = fox_limit(spec)
-        assert out.value == pytest.approx(0.0, abs=1e-9)
+        out = fox_limit(make_spec("cos(z)", -1, 1, 0, 0))
+        assert abs(out.value) <= min(out.err_estimate, 1e-12)
         assert out.converged
 
     def test_cos_n1_golden(self):
-        spec = make_spec("cos(z)", -1, 1, 0, 1)
-        out = fox_limit(spec)
-        assert out.value == pytest.approx(COS_FPI_N1, abs=1e-8)
+        out = fox_limit(make_spec("cos(z)", -1, 1, 0, 1))
+        assert abs(out.value - COS_FPI_N1) <= min(out.err_estimate, 1e-12)
 
     def test_constant_asymmetric_log(self):
-        spec = make_spec("1", -1, 2, 0, 0)
-        out = fox_limit(spec)
-        assert out.value == pytest.approx(math.log(2.0), abs=1e-9)
+        out = fox_limit(make_spec("1", -1, 2, 0, 0))
+        assert abs(out.value - math.log(2.0)) <= min(out.err_estimate, 1e-12)
 
     def test_matches_contour_route(self):
         spec = make_spec("exp(z)", -1, 1, 0, 2)
@@ -163,19 +164,32 @@ class TestFoxLimit:
             return q
 
         monkeypatch.setattr(classical, "integrate_real_segment", counted)
-        out = fox_limit(make_spec("cos(z)", -1, 1, 0, n))
-        assert len(spent) == 2 * DEFAULT_EPS_TERMS
-        assert out.evals == sum(spent) + (TAYLOR_SAMPLES if n else 0)
+        # the window [-1, 1] leaves [1, 2] to quadrature
+        out = fox_limit(make_spec("cos(z)", -1, 2, 0, n))
+        assert len(spent) == 2 and sum(spent) > 0
+        assert out.evals == sum(spent) + TAYLOR_SAMPLES
 
-    def test_raw_divergence_witness(self):
-        # S_raw(eps) ~ 2 f(0) / eps for n = 1
-        spec = make_spec("cos(z)", -1, 1, 0, 1)
-        out = fox_limit(spec)
-        raw = out.detail["raw_samples"]
-        mags = [abs(v) for _, v in raw]
-        assert all(m2 > m1 for m1, m2 in zip(mags, mags[1:]))
-        for eps, v in raw[-3:]:
-            assert abs(v * eps - 2.0) <= 0.05
+    @pytest.mark.parametrize("n", [21, 61, 101])
+    def test_high_order_cos_against_the_series_oracle(self, n):
+        # no limit is taken numerically, so neither route loses digits as n grows
+        spec = make_spec("cos(z)", -1, 1, 0, n)
+        expect = cos_fpi_series(n)
+        fox = fox_limit(spec)
+        assert fox.converged
+        for out in (fox, series_fpi(spec)):
+            assert abs(out.value - expect) <= min(out.err_estimate, 1e-13 * abs(expect))
+
+    def test_poles_close_to_the_axis(self):
+        # 1/(x^2 + d^2) by partial fractions; its poles +-d i cap the Taylor circle
+        d, a, b, x0 = 0.01, -1.0, 1.0, 0.5
+        A = 1 / (x0 ** 2 + d ** 2)
+        expect = (A * math.log((b - x0) / (x0 - a))
+                  - A / 2 * math.log((b ** 2 + d ** 2) / (a ** 2 + d ** 2))
+                  - A * x0 / d * (math.atan(b / d) - math.atan(a / d)))
+        assert expect == pytest.approx(-628.4617285065624, rel=1e-14)
+        out = fox_limit(make_spec("1/(z^2+0.0001)", a, b, x0, 0, poles=(d * 1j, -d * 1j)))
+        assert out.converged
+        assert abs(out.value - expect) <= min(out.err_estimate, 1e-12 * abs(expect))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_declared_pole_numerator(self, n):
@@ -191,7 +205,7 @@ class TestFoxLimit:
 
     def test_fast_growing_numerator_near_endpoint(self):
         # |cos(20 z)| reaches ~1e17 on a circle of the interval's reach; the
-        # divergent terms need c_0 from a circle close to x0
+        # window sum needs its c_k from a circle close to x0
         spec = make_spec("cos(20*z)", -1, 1, 0.9, 1)
         out = fox_limit(spec)
         assert out.value == pytest.approx(apv_average(spec).value, abs=1e-8)

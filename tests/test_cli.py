@@ -178,7 +178,7 @@ class TestReports:
         assert set(routes["average"]["diagnostics"]) == {"int_plus", "int_minus"}
         assert set(routes["upper"]["diagnostics"]) == {"int_plus", "residue"}
         assert set(routes["lower"]["diagnostics"]) == {"int_minus", "residue"}
-        assert set(routes["fox"]["detail"]) == {"samples", "raw_samples"}
+        assert set(routes["fox"]["detail"]) == {"eps", "radius"}
         assert set(routes["spf"]["detail"]) == {"phi_plus", "phi_minus", "y_samples"}
         assert set(routes["series"]["detail"]) == {"radius"}
 
