@@ -55,24 +55,30 @@ class TaylorCoeffs:
 
 def fox_limit(spec: IntegralSpec, cfg: QuadConfig | None = None) -> RouteResult:
     """Fox's symmetric limit, closed at one eps: the real integrals over
-    [a, x0 - eps] and [x0 + eps, b] plus _window(-eps, eps).
-
-    c_k come from taylor_from_expr on a circle of radius r = 2 pole_gap, less
-    if declared poles cap it, and eps = r / 2, so the window's terms fall off
-    like 2^-k. detail holds "eps" and "radius".
-    """
+    [a, x0 - eps] and [x0 + eps, b] plus _window(-eps, eps), on c_k from
+    taylor_from_expr on a circle of radius 2 eps, so the window's terms fall
+    off like 2^-k. eps starts at pole_gap (less if declared poles cap the
+    circle) and is halved while the window's error, mostly rounding over
+    max|f| on the circle, exceeds the requested tolerance and halving at
+    least halves it. detail holds "eps" and "radius"."""
     cfg = cfg or QuadConfig()
     coeffs = taylor_from_expr(spec, radius=2 * spec.pole_gap)
-    r = coeffs.radius_check
-    eps = r / 2
+    evals, eps = coeffs.evals, coeffs.radius_check / 2
+    window, window_err = _window(coeffs, spec.n, -eps, eps)
+    while window_err > max(cfg.abs_tol, cfg.rel_tol * abs(window)):
+        coeffs = taylor_from_expr(spec, radius=eps)
+        evals += coeffs.evals
+        value, err = _window(coeffs, spec.n, -eps / 2, eps / 2)
+        if not err < window_err / 2:
+            break
+        eps, window, window_err = eps / 2, value, err
     left = integrate_real_segment(spec, spec.a, spec.x0 - eps, cfg)
     right = integrate_real_segment(spec, spec.x0 + eps, spec.b, cfg)
-    window, window_err = _window(coeffs, spec.n, -eps, eps)
     return RouteResult((left.value + right.value).real + window,
                        left.err_estimate + right.err_estimate + window_err,
-                       coeffs.evals + left.evals + right.evals,
+                       evals + left.evals + right.evals,
                        left.converged and right.converged,
-                       detail={"eps": eps, "radius": r})
+                       detail={"eps": eps, "radius": 2 * eps})
 
 
 def series_Fn(coeffs: TaylorCoeffs, n: int, s: float):
@@ -84,8 +90,7 @@ def series_Fn(coeffs: TaylorCoeffs, n: int, s: float):
     if s == 0.0 and n >= 1:
         raise ZeroDivisionError("series kernel is singular at s = 0 for n >= 1")
     K = len(coeffs)
-    total = 0.0
-    last = 0.0
+    total = last = 0.0
     for k in range(min(n, K)):
         term = -coeffs.c[k] / ((n - k) * s ** (n - k))
         total += term
@@ -130,18 +135,16 @@ def series_fpi(spec: IntegralSpec) -> RouteResult:
     return RouteResult(value, err, coeffs.evals, True, detail={"radius": r})
 
 
-def taylor_from_expr(spec: IntegralSpec, K: int | None = None,
-                     radius: float | None = None) -> TaylorCoeffs:
-    """The first K Taylor coefficients about x0 (by default max(64, n + 48)),
-    by uniform sampling of the Cauchy integral on a circle (trapezoid rule on
-    the circle is spectrally accurate).
+def taylor_from_expr(spec: IntegralSpec, radius: float | None = None) -> TaylorCoeffs:
+    """The first max(64, n + 48) Taylor coefficients about x0, by uniform
+    sampling of the Cauchy integral on a circle (trapezoid rule on the circle
+    is spectrally accurate).
 
     The circle has the given radius, else 1.1x the interval reach, capped at
     0.9 of the way to any declared pole (the caller sees the radius used in
     radius_check).
     """
-    if K is None:
-        K = max(64, spec.n + 48)
+    K = max(64, spec.n + 48)
     if radius is None:
         radius = max(abs(spec.a - spec.x0), abs(spec.b - spec.x0)) * 1.1
     radius = min([radius] + [abs(p - spec.x0) * 0.9 for p in spec.decl.declared_poles])

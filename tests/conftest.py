@@ -19,13 +19,14 @@ def si_series(x: float) -> float:
     return total
 
 
-def cos_fpi_series(n: int) -> float:
-    """Finite part of cos(x)/x^(n+1) over [-1, 1] for odd n, by direct
-    summation of sum_j 2 (-1)^j / ((2j)! (2j-n)); n = 1 gives -2(cos 1 + Si 1)
-    and n = 3 gives (Si1+sin1-cos1)/3."""
+def cos_fpi_series(n: int, a: float = -1.0, b: float = 1.0) -> float:
+    """Finite part of cos(x)/x^(n+1) over [a, b], a < 0 < b, for odd n, by
+    direct summation of sum_j (-1)^j (b^(2j-n) - a^(2j-n)) / ((2j)! (2j-n));
+    on [-1, 1], n = 1 gives -2(cos 1 + Si 1) and n = 3 gives (Si1+sin1-cos1)/3."""
     total = 0.0
     for j in range(40):
-        total += 2.0 * (-1) ** j / (math.factorial(2 * j) * (2 * j - n))
+        m = 2 * j - n
+        total += (b ** m - a ** m) * (-1) ** j / (math.factorial(2 * j) * m)
     return total
 
 
