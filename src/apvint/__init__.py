@@ -5,7 +5,7 @@ from .apv import (apv_average, apv_lower, apv_upper, default_paths, derivative_a
                   jump_relation_check)
 from .classical import (TaylorCoeffs, fox_limit, series_fpi, series_Fn,
                         taylor_from_expr)
-from .expr import AnalyticityDecl, EvalError, Expr, ParseError, parse, validate_region
+from .expr import AnalyticityDecl, EvalError, Expr, ParseError, parse
 from .paths import (Arc, ComplexPath, IntegralSpec, Line, classify_side,
                     path_from_dict, path_to_dict, semicircle_path)
 from .quadrature import (QuadConfig, QuadResult, RouteResult, integrate_path,

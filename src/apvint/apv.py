@@ -28,7 +28,7 @@ __all__ = [
 
 def default_circle_radius(spec: IntegralSpec) -> float:
     """Half the distance from x0 to the nearest interval endpoint or declared pole."""
-    return min([spec.pole_gap / 2] + [abs(p - spec.x0) * 0.5 for p in spec.decl.declared_poles])
+    return min(spec.pole_gap, spec.pole_distance) / 2
 
 
 def derivative_at_pole(spec: IntegralSpec, cfg: QuadConfig | None = None) -> QuadResult:
@@ -66,8 +66,8 @@ def _checked_path(spec: IntegralSpec, path: ComplexPath | None, side: str) -> Co
         raise ValueError(f"path classified as {got!r}, expected {side!r}")
     back = Line(b, a)
     for p in spec.decl.declared_poles:
-        if min(path.min_distance_to(p), back.min_distance_to(p)) <= 0.0:
-            raise ValueError(f"declared pole {p} lies on the path or on [a, b]")
+        if path.min_distance_to(p) <= 0.0:
+            raise ValueError(f"declared pole {p} lies on the path")
         if round((path.turn(p) + back.turn(p)) / (2 * math.pi)) != 0:
             raise ValueError(f"path {side} x0 encloses declared pole {p}")
     return path

@@ -147,7 +147,7 @@ def taylor_from_expr(spec: IntegralSpec, radius: float | None = None) -> TaylorC
     K = max(64, spec.n + 48)
     if radius is None:
         radius = max(abs(spec.a - spec.x0), abs(spec.b - spec.x0)) * 1.1
-    radius = min([radius] + [abs(p - spec.x0) * 0.9 for p in spec.decl.declared_poles])
+    radius = min(radius, 0.9 * spec.pole_distance)
     if radius <= 0:
         raise ValueError("no admissible sampling circle about x0")
     m = max(TAYLOR_SAMPLES, 4 * K)

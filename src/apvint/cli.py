@@ -23,7 +23,7 @@ import numpy as np
 
 from . import classical, spf
 from .apv import apv_average, apv_lower, apv_upper, default_paths
-from .expr import AnalyticityDecl, ParseError, parse, validate_region
+from .expr import AnalyticityDecl, ParseError, parse
 from .paths import IntegralSpec, classify_side, path_from_dict, semicircle_path
 from .quadrature import QuadConfig, singular_integrand
 
@@ -103,9 +103,6 @@ def _build_problem(args) -> tuple[IntegralSpec, QuadConfig]:
         spec = IntegralSpec(f=f, a=args.a, b=args.b, x0=args.x0, n=args.n, decl=decl)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    violation = validate_region(decl, spec)
-    if violation is not None:
-        raise CliError(f"analyticity region violation: {violation}")
     try:
         cfg = QuadConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     except ValueError as exc:

@@ -29,9 +29,6 @@ __all__ = [
     "parse",
     "evaluate",
     "to_source",
-    "validate_region",
-    "default_margin",
-    "RegionViolation",
 ]
 
 KNOWN_FUNCTIONS = ("sin", "cos", "tan", "exp", "sinh", "cosh")
@@ -123,9 +120,11 @@ class Expr:
 class AnalyticityDecl:
     """User-declared analyticity metadata: either entire, or a finite pole list.
 
-    Only the declared poles are checked against the integration strip; for
-    functions with infinitely many poles (e.g. tan) the user is responsible
-    for declaring every pole near the interval of interest.
+    Only the declared poles are checked: IntegralSpec refuses one on [a, b],
+    a contour may cut none of them off, and the default residue and Taylor
+    circles stay inside the nearest one's distance from x0. For functions
+    with infinitely many poles (e.g. tan) the user is responsible for
+    declaring every pole near the interval of interest.
     """
 
     declared_poles: tuple = ()
@@ -135,17 +134,6 @@ class AnalyticityDecl:
         if self.entire and self.declared_poles:
             raise ValueError("an entire declaration cannot carry poles")
         object.__setattr__(self, "declared_poles", tuple(complex(p) for p in self.declared_poles))
-
-
-@dataclass(frozen=True)
-class RegionViolation:
-    pole: complex
-    distance: float
-    margin: float
-
-    def __str__(self):
-        return (f"declared pole {self.pole} is at distance {self.distance:.3g} "
-                f"from the integration segment (margin {self.margin:.3g})")
 
 
 # ---------------------------------------------------------------------------
@@ -375,34 +363,3 @@ def _eval_node(node, z):
             raise EvalError(to_source(node), complex(bad_z.flat[0]) if bad_z.size else complex(np.asarray(z).flat[0]))
         return left / right
     raise TypeError(f"not an AST node: {node!r}")
-
-
-# ---------------------------------------------------------------------------
-# Analyticity region validation
-
-def default_margin(a: float, b: float) -> float:
-    """Constructed paths never leave a strip of this half-width around [a, b]."""
-    return max(b - a, 1.0) * 1e-2
-
-
-def validate_region(decl: AnalyticityDecl, spec, margin: float | None = None):
-    """Check every declared pole keeps at least `margin` distance from [a, b].
-
-    Returns None when ok, else a RegionViolation naming the offending pole.
-    """
-    if margin is None:
-        margin = default_margin(spec.a, spec.b)
-    if margin <= 0:
-        raise ValueError("margin must be positive")
-    if decl.entire:
-        return None
-    for p in decl.declared_poles:
-        d = _dist_to_segment(p, spec.a, spec.b)
-        if d < margin:
-            return RegionViolation(pole=p, distance=d, margin=margin)
-    return None
-
-
-def _dist_to_segment(p: complex, a: float, b: float) -> float:
-    x = min(max(p.real, a), b)
-    return abs(p - x)

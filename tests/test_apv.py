@@ -107,9 +107,8 @@ class TestPathChecks:
             apv_upper(spec, self.box(1.0))
 
     def test_pole_on_interval_rejected(self):
-        spec = make_spec("1/(z-1.5)", -2, 2, 0.3, 0, poles=(1.5,))
-        with pytest.raises(ValueError, match=r"on the path or on \[a, b\]"):
-            apv_upper(spec, self.box(0.5))
+        with pytest.raises(ValueError, match=r"lies on \[a, b\]"):
+            make_spec("1/(z-1.5)", -2, 2, 0.3, 0, poles=(1.5,))
 
     def test_path_for_another_interval_rejected(self, spec):
         other = make_spec("1", -1, 1, 0.3, 0)

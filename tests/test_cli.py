@@ -53,11 +53,18 @@ class TestExitCodes:
         rc, _, _ = run_cli(capsys, "--f", "cos(z)", "-a", "1", "-b", "-1", "--x0", "0")
         assert rc == EXIT_USAGE
 
-    def test_region_violation(self, capsys):
-        rc, _, err = run_cli(capsys, "--f", "1/(1+z^2)", "--poles", "0.5+0.001i",
-                             "-a", "-1", "-b", "1", "--x0", "0")
-        assert rc == EXIT_USAGE
-        assert "region" in err
+    def test_declared_pole_near_interval_accepted(self, capsys):
+        # poles +-0.01i, a hundredth of the way from [-1, 1]; closed form as
+        # in test_classical's test_poles_close_to_the_axis
+        rc, out, _ = run_cli(capsys, "--f", "1/(z^2+0.0001)", "--poles", "0.01i,-0.01i",
+                             "-a", "-1", "-b", "1", "--x0", "0.5",
+                             "--routes", "average,upper,lower,fox,spf")
+        assert rc == EXIT_OK
+        assert "routes agree" in out
+        rows = {line.split()[0]: float(line.split()[1]) for line in out.splitlines()[2:7]}
+        assert list(rows) == ["average", "upper", "lower", "fox", "spf"]
+        for value in rows.values():
+            assert value == pytest.approx(-628.4617285065624, rel=1e-12)
 
     def test_unknown_route(self, capsys):
         rc, _, err = run_cli(capsys, "--f", "cos(z)", "-a", "-1", "-b", "1",
@@ -283,7 +290,15 @@ class TestPathInputs:
         rc, _, err = run_cli(capsys, "--f", "1/(1+4*z^2)", "--poles", "0.5i,-0.5i",
                              "-a", "-1", "-b", "1", "--x0", "0", "--path-eps", "0.6")
         assert rc == EXIT_USAGE
-        assert "path-eps" in err and "0.5j" in err
+        assert "encloses declared pole 0.5j" in err
+
+    def test_path_eps_reaching_declared_pole_unused_by_fox(self, capsys):
+        # fox integrates on no contour, so the semicircle that encloses 0.5i is not read
+        rc, out, _ = run_cli(capsys, "--f", "1/(1+4*z^2)", "--poles", "0.5i,-0.5i",
+                             "-a", "-1", "-b", "1", "--x0", "0", "--path-eps", "0.6",
+                             "--routes", "fox")
+        assert rc == EXIT_OK
+        assert "routes agree" in out
 
     def test_emit_integrand(self, capsys, tmp_path):
         target = tmp_path / "integrand.csv"

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apvint.expr import (AnalyticityDecl, EvalError, ParseError, RegionViolation,
-                         evaluate, parse, to_source, validate_region)
+from apvint.expr import AnalyticityDecl, EvalError, ParseError, evaluate, parse, to_source
 from apvint.paths import IntegralSpec
 
 from conftest import make_spec
@@ -132,21 +131,6 @@ def test_entire_expression_never_divides_by_zero(re, im):
 
 
 class TestValidateRegion:
-    def test_entire_ok(self):
-        spec = make_spec("cos(z)", -1, 1, 0, 0)
-        assert validate_region(AnalyticityDecl(entire=True), spec, 0.5) is None
-
-    def test_near_pole_violation(self):
-        spec = make_spec("cos(z)", -1, 1, 0, 0)
-        v = validate_region(AnalyticityDecl(declared_poles=(0.5 + 0.1j,)), spec, 0.5)
-        assert isinstance(v, RegionViolation)
-        assert v.pole == 0.5 + 0.1j
-        assert v.distance == pytest.approx(0.1)
-
-    def test_far_pole_ok(self):
-        spec = make_spec("cos(z)", -1, 1, 0, 0)
-        assert validate_region(AnalyticityDecl(declared_poles=(2j,)), spec, 0.5) is None
-
     def test_entire_with_poles_rejected(self):
         with pytest.raises(ValueError):
             AnalyticityDecl(declared_poles=(1j,), entire=True)
@@ -160,3 +144,14 @@ class TestIntegralSpec:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             make_spec("cos(z)", -1, 1, 0, -1)
+
+    @pytest.mark.parametrize("pole", [0.7, -1.0, 1.0])
+    def test_declared_pole_on_interval_rejected(self, pole):
+        with pytest.raises(ValueError) as info:
+            make_spec("1/(z-0.7)", -1, 1, 0, 0, poles=(pole,))
+        assert f"declared pole {complex(pole)} lies on [a, b]" in str(info.value)
+
+    def test_declared_pole_near_interval_accepted(self):
+        spec = make_spec("cos(z)", -1, 1, 0, 0, poles=(0.5 + 1e-3j, 2j))
+        assert spec.pole_distance == abs(0.5 + 1e-3j)
+        assert make_spec("cos(z)", -1, 1, 0, 0).pole_distance == math.inf

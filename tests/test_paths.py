@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apvint.apv import apv_upper
 from apvint.paths import (Arc, ComplexPath, Line, classify_side, path_from_dict,
                           path_to_dict, semicircle_path)
 
@@ -38,9 +39,10 @@ class TestSemicirclePath:
             semicircle_path(spec, 1.5, "above")
 
     def test_eps_reaching_declared_pole(self):
+        # the semicircle is geometry only; the route refuses the pole on it
         spec = make_spec("1/(1+z^2)", -2, 2, 0, 0, poles=(1j, -1j))
-        with pytest.raises(ValueError):
-            semicircle_path(spec, 1.0, "above")
+        with pytest.raises(ValueError, match="lies on the path"):
+            apv_upper(spec, semicircle_path(spec, 1.0, "above"))
 
     def test_continuity_and_endpoints(self, unit_spec):
         p = semicircle_path(unit_spec, 0.25, "above")
