@@ -181,11 +181,13 @@ def emit_report(args, spec: IntegralSpec, results: dict, agreement: dict, out=No
         unconverged = [name for name, r in results.items() if not r["converged"]]
         if unconverged:
             out.write(f"NOT CONVERGED: {unconverged}\n")
-        elif agreement["ok"]:
-            out.write("routes agree within tolerance\n")
-        else:
+        elif not agreement["ok"]:
             out.write(f"DISAGREEMENT: {agreement['worst_pair']} differ by "
                       f"{agreement['abs_diff']:.3g} (threshold {agreement['threshold']:.3g})\n")
+        elif len(results) == 1:
+            out.write("one route, not cross-checked\n")
+        else:
+            out.write("routes agree within tolerance\n")
 
 
 def _complex_pair(obj):

@@ -3,13 +3,18 @@
 Each path segment is mapped to a real parameter interval (lines by an affine
 map, arcs by angle) and integrated with an embedded (G7, K15) pair. The error
 of a subinterval is the |K15 - G7| difference (a non-finite one is the
-worst); the worst subinterval is bisected until the global tolerance is met,
-the subdivision budget runs out, or both its halves are not finite. The
-stopping test reads running totals of value and error over all subintervals,
-kept as compensated (TwoSum) sums with an O(1) update per bisection. The
-returned result is summed afresh in a fixed order (sorted by left endpoint)
-so that outputs are reproducible. Alongside the value, the integral of
-|g| |dz| is accumulated as an absolute-convergence diagnostic.
+worst); the worst subinterval is bisected until one of four stops: the
+global tolerance is met, the subdivision budget runs out, both halves of a
+bisected subinterval are not finite, or six bisections have stalled on
+rounding. A stall is a bisection that leaves its subinterval's value alone
+(to a relative 1e-5) and does not shrink its error (to 99 %), the roundoff
+test of QUADPACK's qag (Piessens et al., 1983). The stopping test reads
+running totals of value and error over all subintervals, kept as compensated
+(TwoSum) sums with an O(1) update per bisection. The returned result is
+summed afresh in a fixed order (sorted by left endpoint) so that outputs are
+reproducible; an unconverged one reports an error no smaller than the
+rounding in its sum. Alongside the value, the integral of |g| |dz| is
+accumulated as an absolute-convergence diagnostic.
 """
 
 from __future__ import annotations
@@ -80,6 +85,9 @@ _WG = np.array([
     0.279705391489276667901467771423780,
     0.129484966168869693270611432679082,
 ])
+
+_MAX_STALLS = 6  # bisections that change neither value nor error, as in qag
+_ROUNDING_ERR = 8 * math.ulp(1.0)  # per unit of |g| |dz|: the least error reported
 
 
 @dataclass(frozen=True)
@@ -158,9 +166,13 @@ def _heap_key(err):
 def integrate_function(g, lo: float, hi: float, cfg: QuadConfig) -> QuadResult:
     """Adaptively integrate the complex-valued vectorized g over [lo, hi].
 
-    Each bisection updates the running value and error totals of the heap in
-    O(1), as compensated (sum, correction) pairs; they decide only when to
-    stop. The result is summed afresh in fixed left-endpoint order.
+    Bisection stops at the tolerance, at cfg.max_subdivisions, when both
+    halves of a subinterval are not finite, or after _MAX_STALLS stalls on
+    rounding. Each bisection updates the running value and error totals of
+    the heap in O(1), as compensated (sum, correction) pairs; they decide
+    only when to stop. The result is summed afresh in fixed left-endpoint
+    order; an unconverged one's finite error is raised to at least
+    _ROUNDING_ERR times the integral of |g|.
     """
     if lo == hi:
         return QuadResult(0j, 0.0, 0, True, 0.0)
@@ -174,8 +186,8 @@ def integrate_function(g, lo: float, hi: float, cfg: QuadConfig) -> QuadResult:
     heap = [(_heap_key(err), lo, hi, value, err, absint)]
     total, total_c = value, 0.0
     total_err, err_c = err, 0.0
-    nsub = 1
-    while nsub < cfg.max_subdivisions:
+    nsub, stalls = 1, 0
+    while nsub < cfg.max_subdivisions and stalls < _MAX_STALLS:
         est, est_err = total + total_c, total_err + err_c
         if not (cmath.isfinite(est) and math.isfinite(est_err)):
             # a non-finite panel poisons the corrections for good, even after
@@ -196,6 +208,8 @@ def integrate_function(g, lo: float, hi: float, cfg: QuadConfig) -> QuadResult:
             total, total_c = _two_sum(total, total_c, dv)
             total_err, err_c = _two_sum(total_err, err_c, de)
         nsub += 1
+        if abs(v1 + v2 - v) <= 1e-5 * abs(v1 + v2) and e1 + e2 >= 0.99 * e:
+            stalls += 1
         if not (math.isfinite(e1) or math.isfinite(e2)):
             break  # halving does not make the value finite: not converged
     intervals = sorted(heap, key=lambda item: item[1])
@@ -203,6 +217,8 @@ def integrate_function(g, lo: float, hi: float, cfg: QuadConfig) -> QuadResult:
     err = float(sum(item[4] for item in intervals))
     absint = float(sum(item[5] for item in intervals))
     converged = bool(err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)))
+    if not converged and math.isfinite(err):
+        err = max(err, _ROUNDING_ERR * absint)
     return QuadResult(sign * complex(value), err, evals, converged, absint)
 
 

@@ -4,11 +4,14 @@ import pytest
 
 from apvint.apv import (apv_average, apv_lower, apv_upper, default_paths,
                         derivative_at_pole, jump_relation_check)
+from apvint.cosexample import cos_problem
 from apvint.paths import Arc, ComplexPath, Line, semicircle_path
 from apvint.quadrature import QuadConfig
 
 from conftest import (COS_FPI_N1, COS_FPI_N3, WINDS_TWICE, ZIGZAG, exp_cpv_series,
                       make_spec)
+
+CRIT10_CFG = QuadConfig(rel_tol=1e-13, abs_tol=1e-14, max_subdivisions=4000)
 
 
 class TestDerivativeAtPole:
@@ -19,6 +22,15 @@ class TestDerivativeAtPole:
         assert derivative_at_pole(spec1).value == pytest.approx(0.0, abs=1e-12)
         spec2 = make_spec("cos(z)", -1, 1, 0, 2)
         assert derivative_at_pole(spec2).value == pytest.approx(-0.5, abs=1e-12)
+
+    def test_rounding_stops_the_high_order_residue(self):
+        # f^(101)(0)/101! = 0 from terms ~2^102 on the circle of radius 1/2:
+        # the bisection stalls on rounding instead of running to its cap
+        # (119985 evals), and the error it reports covers the value
+        r = derivative_at_pole(cos_problem(101), CRIT10_CFG)
+        assert not r.converged
+        assert r.evals <= 30000
+        assert abs(r.value) <= r.err_estimate
 
 
 class TestAverageRoute:
@@ -34,6 +46,21 @@ class TestAverageRoute:
         rep = apv_average(spec)
         assert rep.value == pytest.approx(COS_FPI_N1, abs=1e-9)
         assert abs(rep.detail["imag_residual"]) <= rep.err_estimate + 1e-13
+
+    @pytest.mark.parametrize("n,evals,value", [
+        (21, 945, -0.04732705787512263),
+        (61, 3825, -0.017250141144004565),
+        (101, 7365, -0.01053136421770369),
+    ])
+    def test_criterion_10_paths_keep_their_values(self, n, evals, value):
+        # the paths converge long before any stall, so the stall stop leaves
+        # their bisection, and the value, exactly as it was
+        spec = cos_problem(n)
+        rep = apv_average(spec, semicircle_path(spec, 1.0, "above"),
+                          semicircle_path(spec, 1.0, "below"), CRIT10_CFG)
+        assert rep.diagnostics["int_plus"].evals == evals
+        assert rep.diagnostics["int_minus"].evals == evals
+        assert repr(rep.value) == repr(value)
 
     def test_cos_n3_golden(self):
         spec = make_spec("cos(z)", -1, 1, 0, 3)
@@ -141,8 +168,9 @@ class TestOnePathRoutes:
             assert lo.value == pytest.approx(up.value, abs=1e-9)
 
     def test_unconverged_residue_is_reported(self):
-        # at n = 61 the residue quadrature on the circle of radius 1/2 stops at
-        # its subdivision cap; the one-path routes add it into their value
+        # at n = 61 the residue quadrature on the circle of radius 1/2 stalls
+        # on rounding short of its tolerance; the one-path routes add it into
+        # their value
         rep = apv_upper(make_spec("cos(z)", -1, 1, 0, 61))
         assert rep.diagnostics["residue"].converged is False
         assert rep.converged is False

@@ -111,6 +111,14 @@ class TestExitCodes:
         assert "routes agree" not in out
         assert "NOT CONVERGED: ['upper', 'lower']" in out
 
+    def test_lone_route_is_not_cross_checked(self, capsys):
+        # average alone at n = 61 prints -8616 with err 5.1e6 (the value is
+        # -0.01725): with nothing to compare it against, nothing agrees
+        rc, out, _ = run_cli(capsys, "--f", "cos(z)", "-a", "-1", "-b", "1", "--x0", "0",
+                             "--routes", "average", "-n", "61")
+        assert "routes agree" not in out
+        assert out.endswith("one route, not cross-checked\n")
+
     def test_lone_infinite_value_is_disagreement(self):
         agreement = cli._agreement({"series": {"value": math.inf, "err_estimate": 1e-14}})
         assert agreement["ok"] is False
@@ -298,7 +306,7 @@ class TestPathInputs:
                              "-a", "-1", "-b", "1", "--x0", "0", "--path-eps", "0.6",
                              "--routes", "fox")
         assert rc == EXIT_OK
-        assert "routes agree" in out
+        assert "one route, not cross-checked" in out
 
     def test_emit_integrand(self, capsys, tmp_path):
         target = tmp_path / "integrand.csv"
