@@ -112,8 +112,20 @@ class Expr:
     def __call__(self, z):
         return evaluate(self, z)
 
+    @property
+    def is_real(self) -> bool:
+        """No literal has a nonzero imaginary part, so f is real on the real
+        axis and f(conj z) = conj f(z) (Schwarz reflection)."""
+        return _is_real(self.ast)
+
     def __str__(self):
         return to_source(self.ast)
+
+
+def _is_real(node: Node) -> bool:
+    if isinstance(node, Num):
+        return node.value.imag == 0.0
+    return all(_is_real(child) for child in vars(node).values() if isinstance(child, Node))
 
 
 @dataclass(frozen=True)

@@ -2,16 +2,32 @@ import math
 
 import pytest
 
-from apvint.apv import (apv_average, apv_lower, apv_upper, default_paths,
+from apvint.apv import (apv_average, apv_lower, apv_upper, default_circle_radius, default_paths,
                         derivative_at_pole, jump_relation_check)
 from apvint.cosexample import cos_problem
 from apvint.paths import Arc, ComplexPath, Line, semicircle_path
-from apvint.quadrature import QuadConfig
+from apvint.quadrature import QuadConfig, integrate_on_path, singular_integrand
 
 from conftest import (COS_FPI_N1, COS_FPI_N3, WINDS_TWICE, ZIGZAG, exp_cpv_series,
                       make_spec)
 
 CRIT10_CFG = QuadConfig(rel_tol=1e-13, abs_tol=1e-14, max_subdivisions=4000)
+
+
+def taylor_coefficient(func, k, x, n):
+    """Closed form of f^(n)(x)/n! for f(z) = func(k*z)."""
+    cycle = {"exp": (math.exp,) * 4,
+             "cos": (math.cos, lambda t: -math.sin(t), lambda t: -math.cos(t), math.sin),
+             "sin": (math.sin, math.cos, lambda t: -math.sin(t), lambda t: -math.cos(t)),
+             "sinh": (math.sinh, math.cosh) * 2,
+             "cosh": (math.cosh, math.sinh) * 2}[func]
+    return float(k) ** n / math.factorial(n) * cycle[n % 4](k * x)
+
+
+def full_circle(spec):
+    """The residue's Cauchy integral over the whole circle, as a path integral."""
+    circle = Arc(complex(spec.x0), default_circle_radius(spec), -math.pi, math.pi)
+    return integrate_on_path(singular_integrand(spec), ComplexPath((circle,)))
 
 
 class TestDerivativeAtPole:
@@ -29,8 +45,47 @@ class TestDerivativeAtPole:
         # (119985 evals), and the error it reports covers the value
         r = derivative_at_pole(cos_problem(101), CRIT10_CFG)
         assert not r.converged
-        assert r.evals <= 30000
+        assert r.evals <= 10000
+        assert r.value.imag == 0.0
         assert abs(r.value) <= r.err_estimate
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    @pytest.mark.parametrize("source,func,k", [("exp(2*z)", "exp", 2), ("cos(z)", "cos", 1),
+                                               ("sinh(z)", "sinh", 1)])
+    def test_real_numerator_takes_the_upper_half_circle(self, source, func, k, n):
+        # the lower half mirrors the upper one, so the residue is exactly
+        # real, from at most 0.6 times the full circle's evaluations
+        spec = make_spec(source, -1, 2, 0.3, n)
+        r = derivative_at_pole(spec)
+        assert r.converged
+        assert r.value.imag == 0.0
+        assert abs(r.value - taylor_coefficient(func, k, 0.3, n)) <= 1e-12
+        assert r.evals <= 0.6 * full_circle(spec).evals
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_complex_numerator_keeps_the_full_circle(self, n):
+        spec = make_spec("exp(i*z)", -1, 1, 0, n)
+        r = derivative_at_pole(spec)
+        assert r.converged
+        assert abs(r.value - 1j ** n / math.factorial(n)) <= 1e-12
+        assert r.evals == full_circle(spec).evals
+
+    @pytest.mark.parametrize("cfg", [QuadConfig(1e-6, 1e-8), QuadConfig(), CRIT10_CFG],
+                             ids=["loose", "default", "crit10"])
+    @pytest.mark.parametrize("source,func,k", [
+        ("cos(z)", "cos", 1), ("exp(z)", "exp", 1), ("sin(z)", "sin", 1),
+        ("cosh(z)", "cosh", 1), ("exp(3*z)", "exp", 3), ("cos(5*z)", "cos", 5)])
+    def test_error_estimate_covers_the_closed_form(self, source, func, k, cfg):
+        # a converged residue is within its tolerance, and an unconverged
+        # one within its error estimate, out to n = 101 where rounding rules
+        for x0 in (0.0, 0.37, -0.361, -0.61, 0.854):
+            for n in (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 101):
+                r = derivative_at_pole(make_spec(source, -1, 1, x0, n), cfg)
+                want = taylor_coefficient(func, k, x0, n)
+                if r.converged:
+                    assert abs(r.value - want) <= max(cfg.abs_tol, cfg.rel_tol * abs(want))
+                else:
+                    assert abs(r.value - want) <= r.err_estimate
 
 
 class TestAverageRoute:

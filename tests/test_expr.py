@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from apvint.expr import AnalyticityDecl, EvalError, ParseError, evaluate, parse, to_source
@@ -91,6 +91,28 @@ class TestEvaluate:
         assert evaluate(e, z) == evaluate(e, z)
 
 
+class TestIsReal:
+    @pytest.mark.parametrize("source,real", [
+        ("2.5", True),                   # Num
+        ("0i", True),                    # a zero imaginary part is real
+        ("3i", False),
+        ("i", False),
+        ("z", True),                     # Var
+        ("-z", True),                    # Neg
+        ("-(2i)", False),
+        ("z*3 - 1/z + z", True),         # BinOp, every operator
+        ("z/(z + 2i)", False),
+        ("z^7", True),                   # Pow
+        ("(z - 1i)^2", False),
+        ("cosh(sin(z))", True),          # Call
+        ("1.5i*z", False),
+        ("exp(2i*z)", False),
+        ("-(z^2)/3", True),
+    ])
+    def test_is_real(self, source, real):
+        assert parse(source).is_real is real
+
+
 # -- round-trip property ----------------------------------------------------
 
 _numbers = st.one_of(
@@ -120,6 +142,21 @@ def _expr_source(depth):
 def test_print_parse_round_trip(source):
     tree = parse(source).ast
     assert parse(to_source(tree)).ast == tree
+
+
+@settings(max_examples=300, deadline=None)
+@given(source=_expr_source(2), re=st.floats(-2, 2), im=st.floats(-2, 2))
+def test_real_expression_obeys_schwarz_reflection(source, re, im):
+    # what derivative_at_pole relies on to take half the residue circle
+    e = parse(source)
+    assume(e.is_real)
+    z = complex(re, im)
+    try:
+        up, down = evaluate(e, z), evaluate(e, z.conjugate())
+    except EvalError:
+        return
+    assume(cmath.isfinite(up) and abs(up) < 1e100)
+    assert cmath.isclose(down, up.conjugate(), rel_tol=1e-12, abs_tol=1e-300)
 
 
 @settings(max_examples=200, deadline=None)
