@@ -6,9 +6,9 @@ over a window about x0.
 
 * `fox_limit`: Fox's symmetric limit (Cauchy principal value for n = 0,
   Hadamard finite part for n >= 1). Its own real-axis quadrature outside
-  [x0 - eps, x0 + eps] plus the window sum inside, which is minus the
-  divergent terms H_n(eps) over k < n and the remainder of the limit
-  eps -> 0 over k > n, so one eps closes the limit.
+  [x0 - eps, x0 + eps], graded toward x0, plus the window sum inside,
+  which is minus the divergent terms H_n(eps) over k < n and the remainder
+  of the limit eps -> 0 over k > n, so one eps closes the limit.
 * `series_fpi`: the window sum over all of [a, b].
 """
 
@@ -55,7 +55,8 @@ class TaylorCoeffs:
 
 def fox_limit(spec: IntegralSpec, cfg: QuadConfig | None = None) -> RouteResult:
     """Fox's symmetric limit, closed at one eps: the real integrals over
-    [a, x0 - eps] and [x0 + eps, b] plus _window(-eps, eps), on c_k from
+    [a, x0 - eps] and [x0 + eps, b], each cut toward x0 by
+    integrate_real_segment, plus _window(-eps, eps), on c_k from
     taylor_from_expr on a circle of radius 2 eps, so the window's terms fall
     off like 2^-k. eps starts at pole_gap (less if declared poles cap the
     circle) and is halved while the window's error, mostly rounding over

@@ -14,6 +14,8 @@ import numpy as np
 
 __all__ = ["ExtrapolationResult", "richardson_zero"]
 
+MAX_ORDER = 4  # Richardson columns at most
+
 
 @dataclass(frozen=True)
 class ExtrapolationResult:
@@ -22,7 +24,7 @@ class ExtrapolationResult:
     diverged: bool
 
 
-def richardson_zero(hs, ys, max_order: int = 6) -> ExtrapolationResult:
+def richardson_zero(hs, ys) -> ExtrapolationResult:
     """Extrapolate samples y(h) to h -> 0 by Neville interpolation at 0.
 
     hs must be positive and strictly decreasing; ys may be complex.
@@ -37,7 +39,7 @@ def richardson_zero(hs, ys, max_order: int = 6) -> ExtrapolationResult:
     table = [list(ys)]
     best = ys[-1]
     best_err = abs(ys[-1] - ys[-2]) if m > 1 else np.inf
-    for j in range(1, min(max_order, m - 1) + 1):
+    for j in range(1, min(MAX_ORDER, m - 1) + 1):
         col = []
         prev = table[j - 1]
         for i in range(m - j):

@@ -14,7 +14,8 @@ running totals of value and error over all subintervals, kept as compensated
 summed afresh in a fixed order (sorted by left endpoint) so that outputs are
 reproducible; an unconverged one reports an error no smaller than the
 rounding in its sum. Alongside the value, the integral of |g| |dz| is
-accumulated as an absolute-convergence diagnostic.
+accumulated as an absolute-convergence diagnostic. A real segment is first
+cut toward its pole, so that no piece is longer than its distance to it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -259,10 +260,23 @@ def integrate_path(spec: IntegralSpec, path: ComplexPath, cfg: QuadConfig | None
 
 
 def integrate_real_segment(spec: IntegralSpec, lo: float, hi: float,
-                           cfg: QuadConfig | None = None) -> QuadResult:
-    """Integral of f(x)/(x-x0)^(n+1) over a real interval not containing x0."""
+                           cfg: QuadConfig | None = None, center: complex | None = None) -> QuadResult:
+    """Integral of f(x)/(x - c)^(n+1) over a real interval that misses the pole
+    c (x0 unless given), cut at the foot x of c and at Re c +/- |c - x| 2^k so
+    that no piece is longer than its distance to c (Trefethen, ATAP, Thm 19.3)."""
     cfg = cfg or QuadConfig()
-    a, b = sorted((lo, hi))
-    if a <= spec.x0 <= b:
-        raise ValueError(f"real segment [{lo}, {hi}] contains the pole x0={spec.x0}")
-    return integrate_function(singular_integrand(spec), float(lo), float(hi), cfg)
+    c = complex(spec.x0 if center is None else center)
+    a, b = sorted((float(lo), float(hi)))
+    if c.imag == 0.0 and a <= c.real <= b:
+        raise ValueError(f"real segment [{lo}, {hi}] contains the pole {c}")
+    x = min(max(c.real, a), b)
+    cuts, step = {a, b, x}, abs(c - x)
+    while step < b - a:
+        cuts.update(t for t in (c.real - step, c.real + step) if a < t < b)
+        step *= 2
+    cuts = sorted(cuts)
+    g = singular_integrand(spec, center)
+    total = QuadResult(0j, 0.0, 0, True, 0.0)
+    for t0, t1 in zip(cuts, cuts[1:]):
+        total = total + integrate_function(g, t0, t1, cfg)
+    return total if lo <= hi else replace(total, value=-total.value)

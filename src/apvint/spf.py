@@ -14,7 +14,7 @@ import numpy as np
 from .apv import apv_average
 from .extrapolate import richardson_zero
 from .paths import ComplexPath, IntegralSpec
-from .quadrature import QuadConfig, QuadResult, RouteResult, integrate_function, singular_integrand
+from .quadrature import QuadConfig, QuadResult, RouteResult, integrate_real_segment
 
 __all__ = [
     "phi_at",
@@ -24,40 +24,12 @@ __all__ = [
 ]
 
 Y_FLOOR_FACTOR = 1e-4  # conditioning floor for the y schedule, times (b - a)
-EXTRAPOLATION_ORDER = 4  # Richardson columns over the y schedule
 
 
 def phi_at(spec: IntegralSpec, z: complex, cfg: QuadConfig | None = None) -> QuadResult:
-    """Integral of f(x)/(x - z)^(n+1) over the straight segment [a, b].
-
-    z must lie off [a, b]. When z hovers near the segment the integrand peaks
-    with width |Im z| around Re z, so the interval is pre-split geometrically
-    around the peak before handing each piece to the adaptive rule.
-    """
-    cfg = cfg or QuadConfig()
-    z = complex(z)
-    if z.imag == 0.0 and spec.a <= z.real <= spec.b:
-        raise ValueError(f"z = {z} lies on the integration segment [{spec.a}, {spec.b}]")
-    g = singular_integrand(spec, center=z)
-    cuts = _split_points(spec.a, spec.b, z)
-    total = QuadResult(0j, 0.0, 0, True, 0.0)
-    for lo, hi in zip(cuts, cuts[1:]):
-        total = total + integrate_function(g, lo, hi, cfg)
-    return total
-
-
-def _split_points(a: float, b: float, z: complex):
-    cuts = {a, b}
-    x, y = z.real, abs(z.imag)
-    if y > 0.0 and a < x < b:
-        cuts.add(x)
-        step = y
-        while step < (b - a):
-            for c in (x - step, x + step):
-                if a < c < b:
-                    cuts.add(c)
-            step *= 2
-    return sorted(cuts)
+    """Integral of f(x)/(x - z)^(n+1) over the straight segment [a, b], for z
+    off [a, b]: integrate_real_segment cut toward z."""
+    return integrate_real_segment(spec, spec.a, spec.b, cfg, center=complex(z))
 
 
 def default_y_schedule(spec: IntegralSpec) -> tuple:
@@ -88,8 +60,8 @@ def boundary_values(spec: IntegralSpec, cfg: QuadConfig | None = None) -> RouteR
         lower.append(rl.value)
         evals += ru.evals + rl.evals
         converged = converged and ru.converged and rl.converged
-    eu = richardson_zero(np.array(ys), np.array(upper), max_order=EXTRAPOLATION_ORDER)
-    el = richardson_zero(np.array(ys), np.array(lower), max_order=EXTRAPOLATION_ORDER)
+    eu = richardson_zero(np.array(ys), np.array(upper))
+    el = richardson_zero(np.array(ys), np.array(lower))
     return RouteResult(0.5 * (eu.value + el.value).real, max(eu.err_estimate, el.err_estimate),
                        evals, converged and not (eu.diverged or el.diverged),
                        detail={"phi_plus": eu.value, "phi_minus": el.value,

@@ -181,6 +181,14 @@ class TestFoxLimit:
         for out in (fox, series_fpi(spec)):
             assert abs(out.value - expect) <= min(out.err_estimate, 1e-13 * abs(expect))
 
+    def test_long_far_segment_at_high_order(self):
+        # the far segment [-102, -1] is 101 times its distance to x0; the
+        # reference is perfbench/reference.finite_part at 32 digits
+        expect = -0.0052656821088520565
+        out = fox_limit(make_spec("cos(z)", -102, 1, 0, 101))
+        assert out.converged
+        assert abs(out.value - expect) <= max(out.err_estimate, 1e-13 * abs(expect))
+
     def test_poles_close_to_the_axis(self):
         # 1/(x^2 + d^2) by partial fractions; its poles +-d i cap the Taylor circle
         d, a, b, x0 = 0.01, -1.0, 1.0, 0.5

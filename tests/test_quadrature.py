@@ -42,6 +42,15 @@ class TestRealSegment:
         assert r.value == 0j
         assert r.evals == 0
 
+    def test_far_segment_sees_the_peak(self):
+        # closed form: the integral of x^-102 over [-102, -1] is
+        # (1 - 102^-101) / 101; one K15 panel over all of it has its node
+        # nearest the peak at -1.43, where x^-102 is about 1e-16
+        spec = make_spec("1", -1, 1, 0, 101)
+        r = integrate_real_segment(spec, -102.0, -1.0)
+        assert r.converged
+        assert r.value.real == pytest.approx(1 / 101, rel=1e-12)
+
 
 class TestPathIntegral:
     def test_constant_above_path_gives_minus_i_pi(self):
@@ -273,3 +282,23 @@ def test_stalls_end_the_bisection_on_cancelling_circle():
     assert r.evals < 15 + 30 * 199
     assert abs(r.value) <= r.err_estimate
     assert r.err_estimate >= 8 * math.ulp(1.0) * r.abs_integral
+
+
+@settings(max_examples=200, deadline=None)
+@example(n=94, gap=0.96, ratio=300.0, right=True, reverse=False)
+@given(n=st.integers(0, 101), gap=st.floats(1e-3, 1.0), ratio=st.floats(1.0, 300.0),
+       right=st.booleans(), reverse=st.booleans())
+def test_graded_segment_meets_its_tolerance(n, gap, ratio, right, reverse):
+    """f = 1 on a segment at distance gap from x0 = 0 and ratio times as
+    long, against [x^-n / -n] (log |x| at n = 0): the mesh graded toward the
+    pole keeps a converged result within the tolerance."""
+    near, far = (gap, gap * (1 + ratio)) if right else (-gap, -gap * (1 + ratio))
+    lo, hi = (far, near) if right == reverse else (near, far)
+    if n == 0:
+        exact = math.log(abs(hi)) - math.log(abs(lo))
+    else:
+        exact = (hi ** -n - lo ** -n) / -n
+    cfg = QuadConfig()
+    r = integrate_real_segment(make_spec("1", -1, 1, 0, n), lo, hi, cfg)
+    if r.converged:
+        assert abs(r.value - exact) <= max(cfg.abs_tol, cfg.rel_tol * abs(exact))
