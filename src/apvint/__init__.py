@@ -1,7 +1,7 @@
 """Principal values and Hadamard finite parts as absolutely convergent
 contour integrals, with classical-definition and boundary-value cross-checks."""
 
-from .apv import (apv_average, apv_lower, apv_upper, default_paths, derivative_at_pole,
+from .apv import (apv_average, apv_lower, apv_upper, contour_pair, derivative_at_pole,
                   jump_relation_check)
 from .classical import (TaylorCoeffs, fox_limit, series_fpi, series_Fn,
                         taylor_from_expr)

@@ -1,12 +1,12 @@
 """Contour-average principal values of hypersingular integrals.
 
 The divergent integral of f(x)/(x-x0)^(n+1) over [a, b] is assigned the
-average of two absolutely convergent contour integrals, taken along paths
-passing above and below the pole. Equivalent one-path forms follow from the
-residue of order n at x0, and the difference of the two one-sided integrals
-gives the jump relation used as a cross-check. For a real f the residue is
-real, and is taken from the upper half of its circle alone, since the lower
-half mirrors it (Schwarz reflection).
+average of two absolutely convergent contour integrals, along one contour
+and its mirror image, passing above and below the pole (contour_pair).
+Equivalent one-path forms follow from the residue of order n at x0, and the
+difference of the two one-sided integrals gives the jump relation used as a
+cross-check. For a real f the residue is real, and is taken from the upper
+half of its circle alone, since the lower half mirrors it (Schwarz reflection).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .quadrature import QuadConfig, QuadResult, RouteResult, integrate_function,
 
 __all__ = [
     "derivative_at_pole",
-    "default_paths",
+    "contour_pair",
     "apv_average",
     "apv_upper",
     "apv_lower",
@@ -71,29 +71,30 @@ def derivative_at_pole(spec: IntegralSpec, cfg: QuadConfig | None = None) -> Qua
                    converged=q.converged and err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)))
 
 
-def default_paths(spec: IntegralSpec) -> tuple[ComplexPath, ComplexPath]:
-    """Semicircle-indented paths above and below, of radius default_circle_radius."""
-    eps = default_circle_radius(spec)
-    return (semicircle_path(spec, eps, "above"), semicircle_path(spec, eps, "below"))
-
-
-def _checked_path(spec: IntegralSpec, path: ComplexPath | None, side: str) -> ComplexPath:
-    """The given path, or the default semicircle, once it is shown to run from a
-    to b on `side` of x0 and to cut off no declared pole of f.
-
-    A pole is cut off when the loop made of the path and the straight return
-    from b to a winds around it.
-    """
+def contour_pair(spec: IntegralSpec,
+                 path: ComplexPath | None = None) -> tuple[ComplexPath, ComplexPath]:
+    """The contours above and below x0 that the contour routes integrate:
+    `path` (by default the semicircle of radius default_circle_radius) and its
+    mirror image. A path below x0, as its winding says, is mirrored first."""
     if path is None:
-        path = semicircle_path(spec, default_circle_radius(spec), side)
+        above = semicircle_path(spec, default_circle_radius(spec))
+        return above, above.conjugate()
     a, b = complex(spec.a), complex(spec.b)
     if max(abs(path.start - a), abs(path.end - b)) > 1e-9 * max(1.0, abs(a) + abs(b)):
         raise ValueError(f"path runs from {path.start} to {path.end}, not from a={spec.a} "
                          f"to b={spec.b}")
-    got = classify_side(path, spec.x0)
-    if got != side:
-        raise ValueError(f"path classified as {got!r}, expected {side!r}")
-    back = Line(b, a)
+    side = classify_side(path, spec.x0)
+    if side == "invalid":
+        raise ValueError("path classified as 'invalid': it must pass x0 once, above or below")
+    above = path.conjugate() if side == "below" else path
+    return above, above.conjugate()
+
+
+def _checked_path(spec: IntegralSpec, path: ComplexPath, side: str) -> ComplexPath:
+    """The path on `side` of x0, once it is shown to cut off no declared pole
+    of f: none may lie in the loop it makes with the straight return from b
+    to a. A pole set need not be mirror-symmetric, so each side is checked."""
+    back = Line(complex(spec.b), complex(spec.a))
     for p in spec.decl.declared_poles:
         if path.min_distance_to(p) <= 0.0:
             raise ValueError(f"declared pole {p} lies on the path")
@@ -102,16 +103,17 @@ def _checked_path(spec: IntegralSpec, path: ComplexPath | None, side: str) -> Co
     return path
 
 
-def _contour_report(spec: IntegralSpec, route: str, path_plus: ComplexPath | None,
-                    path_minus: ComplexPath | None, cfg: QuadConfig | None) -> RouteResult:
+def _contour_report(spec: IntegralSpec, route: str, path: ComplexPath | None,
+                    cfg: QuadConfig | None) -> RouteResult:
     """Integrate the sides `route` needs and assemble its result: the average
     of both sides, or one side plus (above) or minus (below) i*pi times the
     residue term. The residue always counts in evals, and enters
     diagnostics only where it enters the value."""
+    above, below = contour_pair(spec, path)
     rp = None if route == "lower" else integrate_path(
-        spec, _checked_path(spec, path_plus, "above"), cfg)
+        spec, _checked_path(spec, above, "above"), cfg)
     rm = None if route == "upper" else integrate_path(
-        spec, _checked_path(spec, path_minus, "below"), cfg)
+        spec, _checked_path(spec, below, "below"), cfg)
     residue = derivative_at_pole(spec, cfg=cfg)
     if route == "average":
         total = 0.5 * (rp.value + rm.value)
@@ -130,32 +132,29 @@ def _contour_report(spec: IntegralSpec, route: str, path_plus: ComplexPath | Non
                        {"residue_term": residue.value, "imag_residual": total.imag})
 
 
-def apv_average(spec: IntegralSpec, path_plus: ComplexPath | None = None,
-                path_minus: ComplexPath | None = None,
+def apv_average(spec: IntegralSpec, path: ComplexPath | None = None, *,
                 cfg: QuadConfig | None = None) -> RouteResult:
-    """Two-path route: average of the above-path and below-path integrals."""
-    return _contour_report(spec, "average", path_plus, path_minus, cfg)
+    """Two-path route: average of the above and below contours' integrals."""
+    return _contour_report(spec, "average", path, cfg)
 
 
-def apv_upper(spec: IntegralSpec, path_plus: ComplexPath | None = None,
+def apv_upper(spec: IntegralSpec, path: ComplexPath | None = None, *,
               cfg: QuadConfig | None = None) -> RouteResult:
-    """One-path route using the above path plus i*pi times the residue term."""
-    return _contour_report(spec, "upper", path_plus, None, cfg)
+    """One-path route: the above contour's integral plus i*pi times the residue term."""
+    return _contour_report(spec, "upper", path, cfg)
 
 
-def apv_lower(spec: IntegralSpec, path_minus: ComplexPath | None = None,
+def apv_lower(spec: IntegralSpec, path: ComplexPath | None = None, *,
               cfg: QuadConfig | None = None) -> RouteResult:
-    """One-path route using the below path minus i*pi times the residue term."""
-    return _contour_report(spec, "lower", None, path_minus, cfg)
+    """One-path route: the below contour's integral minus i*pi times the residue term."""
+    return _contour_report(spec, "lower", path, cfg)
 
 
-def jump_relation_check(spec: IntegralSpec, path_plus: ComplexPath | None = None,
-                        path_minus: ComplexPath | None = None,
+def jump_relation_check(spec: IntegralSpec, path: ComplexPath | None = None, *,
                         cfg: QuadConfig | None = None) -> dict:
     """Residue-theorem consistency: Int- minus Int+ against 2*pi*i*residue."""
-    rep = apv_average(spec, path_plus, path_minus, cfg)
+    rep = apv_average(spec, path, cfg=cfg)
     lhs = rep.diagnostics["int_minus"].value - rep.diagnostics["int_plus"].value
     rhs = 2j * math.pi * rep.detail["residue_term"]
     return {"lhs": lhs, "rhs": rhs, "abs_diff": abs(lhs - rhs),
             "err_estimate": 2 * rep.err_estimate}
-

@@ -22,21 +22,21 @@ from dataclasses import asdict
 import numpy as np
 
 from . import classical, spf
-from .apv import apv_average, apv_lower, apv_upper, default_paths
+from .apv import apv_average, apv_lower, apv_upper, contour_pair
 from .expr import AnalyticityDecl, ParseError, parse
-from .paths import IntegralSpec, classify_side, path_from_dict, semicircle_path
+from .paths import IntegralSpec, path_from_dict, semicircle_path
 from .quadrature import QuadConfig, singular_integrand
 
-# Every route, given the problem, both contours and the quadrature settings.
-# Each looks its function up when called, so a wrapper bound to the name the
-# lambda reads sees the call.
+# Every route, given the problem, the one contour (None for the default) and
+# the quadrature settings. Each looks its function up when called, so a
+# wrapper bound to the name the lambda reads sees the call.
 ROUTES = {
-    "average": lambda spec, plus, minus, cfg: apv_average(spec, plus, minus, cfg),
-    "upper": lambda spec, plus, minus, cfg: apv_upper(spec, plus, cfg),
-    "lower": lambda spec, plus, minus, cfg: apv_lower(spec, minus, cfg),
-    "fox": lambda spec, plus, minus, cfg: classical.fox_limit(spec, cfg),
-    "series": lambda spec, plus, minus, cfg: classical.series_fpi(spec),
-    "spf": lambda spec, plus, minus, cfg: spf.boundary_values(spec, cfg),
+    "average": lambda spec, path, cfg: apv_average(spec, path, cfg=cfg),
+    "upper": lambda spec, path, cfg: apv_upper(spec, path, cfg=cfg),
+    "lower": lambda spec, path, cfg: apv_lower(spec, path, cfg=cfg),
+    "fox": lambda spec, path, cfg: classical.fox_limit(spec, cfg),
+    "series": lambda spec, path, cfg: classical.series_fpi(spec),
+    "spf": lambda spec, path, cfg: spf.boundary_values(spec, cfg),
 }
 
 EXIT_OK = 0
@@ -79,10 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_complex(text: str) -> complex:
     text = text.strip().replace("i", "j")
-    if text in ("j", "+j"):
-        return 1j
-    if text == "-j":
-        return -1j
     # accept bare reals and python-style complex
     try:
         return complex(text)
@@ -99,34 +95,24 @@ def _build_problem(args) -> tuple[IntegralSpec, QuadConfig]:
     if args.poles:
         poles = [_parse_complex(tok) for tok in args.poles.split(",") if tok.strip()]
     decl = AnalyticityDecl(declared_poles=tuple(poles), entire=not poles)
-    try:
-        spec = IntegralSpec(f=f, a=args.a, b=args.b, x0=args.x0, n=args.n, decl=decl)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    try:
-        cfg = QuadConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    return spec, cfg
+    spec = IntegralSpec(f=f, a=args.a, b=args.b, x0=args.x0, n=args.n, decl=decl)
+    return spec, QuadConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
 
 
-def _contour_paths(args, spec: IntegralSpec):
+def _contour_path(args, spec: IntegralSpec):
+    """The contour the contour routes take and mirror, None for their default."""
     if args.path_file:
         try:
             with open(args.path_file) as fh:
-                loaded = path_from_dict(json.load(fh))
+                return path_from_dict(json.load(fh))
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise CliError(f"--path-file {args.path_file}: {type(exc).__name__}: {exc}") from exc
-        if classify_side(loaded, spec.x0) == "below":
-            return loaded.conjugate(), loaded
-        return loaded, loaded.conjugate()
     if args.path_eps is not None:
         try:
-            return (semicircle_path(spec, args.path_eps, "above"),
-                    semicircle_path(spec, args.path_eps, "below"))
+            return semicircle_path(spec, args.path_eps)
         except ValueError as exc:
             raise CliError(f"--path-eps {args.path_eps}: {exc}") from exc
-    return default_paths(spec)
+    return None
 
 
 def _run_routes(args, spec: IntegralSpec, cfg: QuadConfig) -> dict:
@@ -136,8 +122,8 @@ def _run_routes(args, spec: IntegralSpec, cfg: QuadConfig) -> dict:
     for name in names:
         if name not in ROUTES:
             raise CliError(f"unknown route {name!r}; choose from {', '.join(ROUTES)}")
-    plus, minus = _contour_paths(args, spec)
-    return {name: asdict(ROUTES[name](spec, plus, minus, cfg)) for name in names}
+    path = _contour_path(args, spec)
+    return {name: asdict(ROUTES[name](spec, path, cfg)) for name in names}
 
 
 def _agreement(results: dict) -> dict:
@@ -198,10 +184,10 @@ def _complex_pair(obj):
 
 
 def _emit_integrand(args, spec: IntegralSpec):
-    plus, _ = _contour_paths(args, spec)
+    above, _ = contour_pair(spec, _contour_path(args, spec))
     integrand = singular_integrand(spec)
     rows = []
-    for seg in plus.segments:
+    for seg in above.segments:
         lo, hi = seg.param_interval
         ts = np.linspace(lo, hi, 512)
         g = integrand(seg.point(ts)) * seg.derivative(ts)
@@ -224,10 +210,7 @@ def main(argv=None) -> int:
             results = _run_routes(args, spec, cfg)
             if args.emit_integrand:
                 _emit_integrand(args, spec)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, ArithmeticError) as exc:
+    except (CliError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     agreement = _agreement(results)

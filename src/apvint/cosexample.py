@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 
-def si(x: float, tol: float = 1e-17) -> float:
+def si(x: float) -> float:
     """Sine integral by its everywhere-convergent Maclaurin series."""
     total = 0.0
     power = x  # x^(2k+1) / (2k+1)!, updated multiplicatively
@@ -38,7 +38,7 @@ def si(x: float, tol: float = 1e-17) -> float:
         term = (-1) ** k * power / (2 * k + 1)
         total += term
         k += 1
-        if abs(term) <= tol * max(1.0, abs(total)) or k > 200:
+        if abs(term) <= 1e-17 * max(1.0, abs(total)) or k > 200:
             return total
         power *= x * x / ((2 * k) * (2 * k + 1))
 
@@ -73,9 +73,7 @@ def cos_problem(n: int) -> IntegralSpec:
 def cos_apv_reference(n: int, cfg: QuadConfig | None = None) -> float:
     """Full contour-average value on unit semicircle bulge paths."""
     spec = cos_problem(n)
-    plus = semicircle_path(spec, 1.0, "above")
-    minus = semicircle_path(spec, 1.0, "below")
-    return apv_average(spec, plus, minus, cfg).value
+    return apv_average(spec, semicircle_path(spec, 1.0), cfg=cfg).value
 
 
 # Large-n expansion coefficients of the finite part, by power of 1/n.

@@ -314,10 +314,8 @@ def _render(node):
         prec = _PREC[node.op]
         if lp < prec:
             lhs = f"({lhs})"
-        # -, / are left associative: parenthesize right child at equal precedence
-        if rp < prec or (rp == prec and node.op in ("-", "/")):
-            rhs = f"({rhs})"
-        elif rp == prec and node.op in ("+", "*") and isinstance(node.right, BinOp):
+        # a right child at equal precedence, a BinOp, would re-parse to the left
+        if rp <= prec:
             rhs = f"({rhs})"
         return f"{lhs} {node.op} {rhs}", prec
     raise TypeError(f"not an AST node: {node!r}")

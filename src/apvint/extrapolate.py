@@ -56,6 +56,8 @@ def richardson_zero(hs, ys) -> ExtrapolationResult:
                 best = col[i]
     # divergence: tail of the first column moving away from the estimate
     diffs = np.abs(ys - best)
-    diverged = bool(m >= 3 and diffs[-1] > diffs[-2] > diffs[-3] and best_err > 10 * abs(diffs[-3]))
+    err_floor = max(best_err, 4 * np.spacing(abs(best)))  # an exact fit still rounds
+    diverged = bool(m >= 3 and diffs[-1] > diffs[-2] > diffs[-3]
+                    and (best_err > 10 * diffs[-3] or diffs[-1] > 10 * err_floor))
     return ExtrapolationResult(value=complex(best), err_estimate=float(best_err),
                                diverged=diverged)

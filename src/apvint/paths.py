@@ -10,6 +10,8 @@ declared pole of f that the path must not cut off.
 
 By the residue theorem these winding numbers are all that fix a contour
 integral's value, so a path may cross itself: crossing points change neither.
+The semicircle constructor builds its path above x0; the same path below is
+its mirror image across the real axis, ComplexPath.conjugate().
 """
 
 from __future__ import annotations
@@ -241,8 +243,8 @@ class ComplexPath:
 # Constructors
 
 
-def semicircle_path(spec: IntegralSpec, radius: float, side: str) -> ComplexPath:
-    """Real segments joined by a semicircle of the given radius over/under x0.
+def semicircle_path(spec: IntegralSpec, radius: float) -> ComplexPath:
+    """Real segments joined by a semicircle of the given radius above x0.
 
     The radius may reach the pole gap, where the semicircle bulges to an
     endpoint and the real piece on that side, of zero length, is dropped.
@@ -251,12 +253,10 @@ def semicircle_path(spec: IntegralSpec, radius: float, side: str) -> ComplexPath
     if not (0 < radius <= gap):
         raise ValueError(f"radius must lie in (0, {gap}], got {radius}")
     _check_clearance(spec, radius)
-    arc = Arc(complex(spec.x0), radius, math.pi, 0.0) if side == "above" else \
-        Arc(complex(spec.x0), radius, -math.pi, 0.0)
     segments = []
     if spec.x0 - radius > spec.a:
         segments.append(Line(complex(spec.a), complex(spec.x0 - radius)))
-    segments.append(arc)
+    segments.append(Arc(complex(spec.x0), radius, math.pi, 0.0))
     if spec.x0 + radius < spec.b:
         segments.append(Line(complex(spec.x0 + radius), complex(spec.b)))
     return ComplexPath(tuple(segments))

@@ -4,7 +4,8 @@ Phi(z) = integral over [a, b] of f(x) / (x - z)^(n+1) dx is analytic off the
 segment; its limits as z -> x0 from above/below are recovered here by
 evaluating at x0 +/- i y over a decreasing y schedule and Richardson
 extrapolation to y = 0. The limits differ by the residue jump and straddle
-the principal value, and each equals the opposite-side contour integral.
+the principal value, and each equals the opposite-side contour integral,
+taken along one contour and its mirror image (apv.contour_pair).
 """
 
 from __future__ import annotations
@@ -68,11 +69,11 @@ def boundary_values(spec: IntegralSpec, cfg: QuadConfig | None = None) -> RouteR
                                "y_samples": tuple(zip(ys, upper, lower))})
 
 
-def spf_identity_check(spec: IntegralSpec, path_plus: ComplexPath,
-                       path_minus: ComplexPath, cfg: QuadConfig | None = None) -> dict:
-    """Compare boundary values against the opposite-side contour integrals,
-    read from the contour-average route (which checks each path's side)."""
-    sides = apv_average(spec, path_plus, path_minus, cfg).diagnostics
+def spf_identity_check(spec: IntegralSpec, path: ComplexPath | None = None, *,
+                       cfg: QuadConfig | None = None) -> dict:
+    """Compare boundary values against the opposite-side contour integrals
+    along apv.contour_pair(spec, path), read from the contour-average route."""
+    sides = apv_average(spec, path, cfg=cfg).diagnostics
     report = boundary_values(spec, cfg)
     out = {"phi_plus": report.detail["phi_plus"], "phi_minus": report.detail["phi_minus"],
            "int_plus": sides["int_plus"].value, "int_minus": sides["int_minus"].value,

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from apvint.apv import apv_average, apv_lower, apv_upper, default_paths, jump_relation_check
+from apvint.apv import apv_average, apv_lower, apv_upper, jump_relation_check
 from apvint.classical import fox_limit, series_fpi
 from apvint.cosexample import cos_apv_reference, cos_fpi_asymptotic
 from apvint.expr import evaluate, parse, to_source
@@ -63,10 +63,9 @@ def test_criterion_04_route_equivalence():
     corpus = route_corpus()
     worst = 0.0
     for spec in corpus:
-        plus, minus = default_paths(spec)
-        avg = apv_average(spec, plus, minus).value
-        up = apv_upper(spec, plus).value
-        lo = apv_lower(spec, minus).value
+        avg = apv_average(spec).value
+        up = apv_upper(spec).value
+        lo = apv_lower(spec).value
         worst = max(worst, abs(avg - up), abs(avg - lo))
     verdict(4, f"upper/lower/average equal on {len(corpus)} specs",
             worst <= 1e-8, f"worst diff {worst:.2e}")
@@ -86,13 +85,9 @@ def test_criterion_06_path_independence():
     for spec in route_corpus():
         values = []
         for eps in (0.05, 0.1, 0.25):
-            values.append(apv_average(spec,
-                                      semicircle_path(spec, eps, "above"),
-                                      semicircle_path(spec, eps, "below")).value)
+            values.append(apv_average(spec, semicircle_path(spec, eps)).value)
         r = 0.8 * spec.pole_gap
-        values.append(apv_average(spec,
-                                  semicircle_path(spec, r, "above"),
-                                  semicircle_path(spec, r, "below")).value)
+        values.append(apv_average(spec, semicircle_path(spec, r)).value)
         for i in range(len(values)):
             for j in range(i + 1, len(values)):
                 worst = max(worst, abs(values[i] - values[j]))
@@ -117,14 +112,13 @@ def test_criterion_08_boundary_value_identities():
     for spec in route_corpus():
         if spec.n > 2:
             continue
-        plus, minus = default_paths(spec)
         rep = boundary_values(spec)
-        int_plus = apv_upper(spec, plus)
-        int_minus = apv_lower(spec, minus)
+        int_plus = apv_upper(spec)
+        int_minus = apv_lower(spec)
         worst = max(worst,
                     abs(rep.detail["phi_plus"] - int_minus.diagnostics["int_minus"].value),
                     abs(rep.detail["phi_minus"] - int_plus.diagnostics["int_plus"].value),
-                    abs(rep.value - apv_average(spec, plus, minus).value))
+                    abs(rep.value - apv_average(spec).value))
     verdict(8, "boundary values match opposite-side contours",
             worst <= 1e-6, f"worst diff {worst:.2e}")
 
@@ -184,7 +178,8 @@ def test_criterion_11_property_suites():
         if eps < 1e-6 * (b - a):
             continue
         side = rng.choice(("above", "below"))
-        assert classify_side(semicircle_path(spec, eps, side), x0) == side
+        path = semicircle_path(spec, eps)
+        assert classify_side(path if side == "above" else path.conjugate(), x0) == side
 
     # quadrature orientation and additivity
     spec = make_spec("cos(z)", -1, 6, 0, 0)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from apvint.apv import (apv_average, apv_lower, apv_upper, default_circle_radius, default_paths,
+from apvint.apv import (apv_average, apv_lower, apv_upper, contour_pair, default_circle_radius,
                         derivative_at_pole, jump_relation_check)
 from apvint.cosexample import cos_problem
 from apvint.paths import Arc, ComplexPath, Line, semicircle_path
@@ -91,9 +91,7 @@ class TestDerivativeAtPole:
 class TestAverageRoute:
     def test_cos_cpv_vanishes(self):
         spec = make_spec("cos(z)", -1, 1, 0, 0)
-        plus = semicircle_path(spec, 1.0, "above")
-        minus = semicircle_path(spec, 1.0, "below")
-        rep = apv_average(spec, plus, minus)
+        rep = apv_average(spec, semicircle_path(spec, 1.0))
         assert rep.value == pytest.approx(0.0, abs=1e-10)
 
     def test_cos_n1_golden(self):
@@ -111,8 +109,7 @@ class TestAverageRoute:
         # the paths converge long before any stall, so the stall stop leaves
         # their bisection, and the value, exactly as it was
         spec = cos_problem(n)
-        rep = apv_average(spec, semicircle_path(spec, 1.0, "above"),
-                          semicircle_path(spec, 1.0, "below"), CRIT10_CFG)
+        rep = apv_average(spec, semicircle_path(spec, 1.0), cfg=CRIT10_CFG)
         assert rep.diagnostics["int_plus"].evals == evals
         assert rep.diagnostics["int_minus"].evals == evals
         assert repr(rep.value) == repr(value)
@@ -128,23 +125,30 @@ class TestAverageRoute:
         sides = rep.diagnostics["int_plus"].value + rep.diagnostics["int_minus"].value
         assert rep.value == pytest.approx(0.5 * sides.real)
 
-    def test_side_misclassification_rejected(self):
+    def test_default_contour_is_the_default_semicircle(self):
         spec = make_spec("cos(z)", -1, 1, 0, 1)
-        plus, minus = default_paths(spec)
-        with pytest.raises(ValueError, match="classified"):
-            apv_average(spec, minus, plus)
+        assert apv_average(spec) == apv_average(
+            spec, semicircle_path(spec, default_circle_radius(spec)))
+
+    @pytest.mark.parametrize("route", [apv_average, apv_upper, apv_lower, jump_relation_check])
+    def test_path_below_gives_its_mirrors_results(self, route):
+        # one contour fixes the pair: a path below is mirrored to the one above
+        spec = make_spec("exp(z)", -1, 1, 0.2, 2)
+        above = semicircle_path(spec, 0.5)
+        assert contour_pair(spec, above.conjugate()) == (above, above.conjugate())
+        assert route(spec, above.conjugate()) == route(spec, above)
 
     def test_self_crossing_path_accepted(self):
         # crossing points change no winding number, so not the value either
         spec = make_spec("cos(z)", -1, 1, 0, 1)
-        rep = apv_average(spec, ZIGZAG, ZIGZAG.conjugate())
+        rep = apv_average(spec, ZIGZAG)
         assert abs(rep.value - COS_FPI_N1) <= rep.err_estimate
 
     def test_path_winding_twice_rejected(self):
         spec = make_spec("cos(z)", -1, 1, 0, 1)
         assert WINDS_TWICE.turn(0.0) == pytest.approx(-3 * math.pi)
         with pytest.raises(ValueError, match="classified"):
-            apv_average(spec, WINDS_TWICE, WINDS_TWICE.conjugate())
+            apv_average(spec, WINDS_TWICE)
 
 
 class TestPathChecks:
@@ -164,7 +168,7 @@ class TestPathChecks:
         bulge = ComplexPath((Line(-2 + 0j, -1.5 + 0j), Arc(0j, 1.5, math.pi, 0.0),
                              Line(1.5 + 0j, 2 + 0j)))
         with pytest.raises(ValueError, match=r"above x0 encloses declared pole 1j"):
-            apv_average(spec, bulge, bulge.conjugate())
+            apv_average(spec, bulge)
         with pytest.raises(ValueError, match=r"above x0 encloses declared pole 1j"):
             apv_upper(spec, bulge)
         with pytest.raises(ValueError, match="below x0 encloses declared pole"):
@@ -172,7 +176,7 @@ class TestPathChecks:
 
     def test_pole_outside_loop_accepted(self, spec):
         box = self.box(0.5)
-        rep = apv_average(spec, box, box.conjugate())
+        rep = apv_average(spec, box)
         assert rep.value == pytest.approx(apv_average(spec).value, abs=1e-9)
 
     def test_figure_eight_around_pole_accepted(self, spec):
@@ -181,8 +185,17 @@ class TestPathChecks:
         corners = (-2, -1 + 0.3j, 1.5 + 1.3j, 1.5 + 0.6j, -1 + 1.6j, -1 + 2.5j, 2 + 2.5j, 2)
         figure8 = ComplexPath(tuple(Line(complex(p), complex(q))
                                     for p, q in zip(corners, corners[1:])))
-        rep = apv_average(spec, figure8, figure8.conjugate())
+        rep = apv_average(spec, figure8)
         assert rep.value == pytest.approx(apv_average(spec).value, abs=1e-9)
+
+    def test_mirror_is_checked_against_an_asymmetric_pole_set(self):
+        # 0.3 - 0.5i is outside the box above and inside its mirror below
+        spec = make_spec("1/(z - (0.3 - 0.5i))", -2, 2, 0.3, 1, poles=(0.3 - 0.5j,))
+        box = self.box(1.0)
+        assert apv_upper(spec, box).converged
+        for route in (apv_average, apv_lower):
+            with pytest.raises(ValueError, match="below x0 encloses declared pole"):
+                route(spec, box)
 
     def test_pole_on_path_rejected(self, spec):
         with pytest.raises(ValueError, match="lies on the path"):
@@ -195,7 +208,7 @@ class TestPathChecks:
     def test_path_for_another_interval_rejected(self, spec):
         other = make_spec("1", -1, 1, 0.3, 0)
         with pytest.raises(ValueError, match="not from a"):
-            apv_upper(spec, semicircle_path(other, 0.2, "above"))
+            apv_upper(spec, semicircle_path(other, 0.2))
 
 
 class TestOnePathRoutes:
@@ -258,16 +271,13 @@ class TestJumpRelation:
 class TestInvariants:
     def test_path_invariance_of_report(self):
         spec = make_spec("sinh(z)", -1, 1, 0, 2)
-        small = apv_average(spec, semicircle_path(spec, 0.1, "above"),
-                            semicircle_path(spec, 0.1, "below"))
-        bulge = apv_average(spec, semicircle_path(spec, 0.9, "above"),
-                            semicircle_path(spec, 0.9, "below"))
+        small = apv_average(spec, semicircle_path(spec, 0.1))
+        bulge = apv_average(spec, semicircle_path(spec, 0.9))
         assert small.value == pytest.approx(bulge.value, abs=1e-9)
 
     def test_eps_independence(self):
         spec = make_spec("cos(z)", -1, 1, 0, 1)
-        values = [apv_average(spec, semicircle_path(spec, e, "above"),
-                              semicircle_path(spec, e, "below")).value
+        values = [apv_average(spec, semicircle_path(spec, e)).value
                   for e in (0.05, 0.1, 0.25, 0.5)]
         for v in values[1:]:
             assert v == pytest.approx(values[0], abs=1e-9)

@@ -8,6 +8,7 @@ import warnings
 import pytest
 
 from apvint import cli
+from apvint.apv import apv_average, apv_lower, apv_upper
 from apvint.cli import (EXIT_DISAGREE, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
                         build_parser, main)
 from apvint.paths import Arc, ComplexPath, Line, path_to_dict, semicircle_path
@@ -207,9 +208,20 @@ class TestPathInputs:
         doc = json.loads(out)
         assert doc["routes"]["average"]["value"] == pytest.approx(COS_FPI_N1, abs=1e-8)
 
+    def test_path_eps_values_are_the_librarys(self, capsys):
+        rc, out, _ = run_cli(capsys, "--f", "exp(z)", "-a", "-1", "-b", "2",
+                             "--x0", "0.5", "-n", "2", "--path-eps", "0.4",
+                             "--routes", "average,upper,lower", "--format", "json")
+        assert rc == EXIT_OK
+        routes = json.loads(out)["routes"]
+        spec = make_spec("exp(z)", -1, 2, 0.5, 2)
+        for name, route in (("average", apv_average), ("upper", apv_upper),
+                            ("lower", apv_lower)):
+            assert routes[name]["value"] == route(spec, semicircle_path(spec, 0.4)).value
+
     def test_path_file(self, capsys, tmp_path):
         spec = make_spec("cos(z)", -1, 1, 0, 1)
-        path = semicircle_path(spec, 0.4, "above")
+        path = semicircle_path(spec, 0.4)
         pf = tmp_path / "path.json"
         pf.write_text(json.dumps(path_to_dict(path)))
         rc, out, _ = run_cli(capsys, "--f", "cos(z)", "-a", "-1", "-b", "1",
@@ -222,13 +234,13 @@ class TestPathInputs:
     def test_path_file_below_side_is_mirrored(self, capsys, tmp_path):
         spec = make_spec("cos(z)", -1, 1, 0, 1)
         pf = tmp_path / "path.json"
-        pf.write_text(json.dumps(path_to_dict(semicircle_path(spec, 0.4, "below"))))
+        pf.write_text(json.dumps(path_to_dict(semicircle_path(spec, 0.4).conjugate())))
         rc, out, _ = run_cli(capsys, "--f", "cos(z)", "-a", "-1", "-b", "1",
                              "--x0", "0", "-n", "1", "--path-file", str(pf),
                              "--routes", "upper,lower", "--format", "json")
         assert rc == EXIT_OK
         routes = json.loads(out)["routes"]
-        want = integrate_path(spec, semicircle_path(spec, 0.4, "above")).value
+        want = integrate_path(spec, semicircle_path(spec, 0.4)).value
         got = complex(*routes["upper"]["diagnostics"]["int_plus"]["value"])
         assert got == pytest.approx(want, abs=1e-12)
         assert routes["upper"]["value"] == pytest.approx(COS_FPI_N1, abs=1e-8)
@@ -236,7 +248,7 @@ class TestPathInputs:
     def test_path_file_side_read_from_geometry(self, capsys, tmp_path):
         # an old file whose "side" key contradicts its geometry
         spec = make_spec("cos(z)", -1, 1, 0, 1)
-        doc = path_to_dict(semicircle_path(spec, 0.4, "below"))
+        doc = path_to_dict(semicircle_path(spec, 0.4).conjugate())
         pf = tmp_path / "path.json"
         pf.write_text(json.dumps({**doc, "side": "above"}))
         rc, out, _ = run_cli(capsys, "--f", "cos(z)", "-a", "-1", "-b", "1",

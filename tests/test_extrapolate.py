@@ -37,3 +37,17 @@ def test_tail_moving_away_is_diverged():
     # then the last three samples run away from it tenfold per step
     out = richardson_zero(HS, [1.0, -1.0, 1.0, 0.0, 0.01, 0.1, 1.0])
     assert out.diverged
+
+
+def test_samples_growing_without_bound_are_diverged():
+    # y = 1/h: the table settles nowhere, and the last three samples run
+    # away from its best entry (6, err 6), the last to twenty times its error
+    out = richardson_zero(HS, 1 / HS)
+    assert out.diverged
+
+
+def test_rounding_noise_on_an_exact_fit_is_not_diverged():
+    # an exact fit (err_estimate 0) whose last samples drift by one ulp a step
+    out = richardson_zero(HS, 1.0 + np.array([0, 0, 0, 0, 1, 2, 3]) * np.spacing(1.0))
+    assert out.err_estimate == 0.0
+    assert not out.diverged

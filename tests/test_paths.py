@@ -20,7 +20,7 @@ def unit_spec():
 
 class TestSemicirclePath:
     def test_above_construction(self, unit_spec):
-        p = semicircle_path(unit_spec, 0.5, "above")
+        p = semicircle_path(unit_spec, 0.5)
         assert len(p.segments) == 3
         line1, arc, line2 = p.segments
         assert (line1.start, line1.end) == (-1 + 0j, -0.5 + 0j)
@@ -29,66 +29,67 @@ class TestSemicirclePath:
         assert (line2.start, line2.end) == (0.5 + 0j, 1 + 0j)
 
     def test_below_is_mirror_arc(self, unit_spec):
-        p = semicircle_path(unit_spec, 0.5, "below")
+        p = semicircle_path(unit_spec, 0.5).conjugate()
         arc = p.segments[1]
         assert (arc.theta_start, arc.theta_end) == (-math.pi, 0.0)
 
     def test_eps_out_of_range(self):
         spec = make_spec("cos(z)", 0, 2, 1, 0)
         with pytest.raises(ValueError):
-            semicircle_path(spec, 1.5, "above")
+            semicircle_path(spec, 1.5)
 
     def test_eps_reaching_declared_pole(self):
         # the semicircle is geometry only; the route refuses the pole on it
         spec = make_spec("1/(1+z^2)", -2, 2, 0, 0, poles=(1j, -1j))
         with pytest.raises(ValueError, match="lies on the path"):
-            apv_upper(spec, semicircle_path(spec, 1.0, "above"))
+            apv_upper(spec, semicircle_path(spec, 1.0))
 
     def test_continuity_and_endpoints(self, unit_spec):
-        p = semicircle_path(unit_spec, 0.25, "above")
+        p = semicircle_path(unit_spec, 0.25)
         assert p.start == -1 + 0j
         assert p.end == 1 + 0j
         for s1, s2 in zip(p.segments, p.segments[1:]):
             assert abs(complex(s1.last) - complex(s2.first)) < 1e-12
 
     def test_positive_pole_clearance(self, unit_spec):
-        p = semicircle_path(unit_spec, 0.3, "below")
+        p = semicircle_path(unit_spec, 0.3).conjugate()
         assert p.min_distance_to(0j) == pytest.approx(0.3)
 
 
 class TestBulgePath:
     def test_unit_radius_single_arc(self, unit_spec):
-        p = semicircle_path(unit_spec, 1.0, "above")
+        p = semicircle_path(unit_spec, 1.0)
         assert len(p.segments) == 1
         arc = p.segments[0]
         assert (arc.theta_start, arc.theta_end) == (math.pi, 0.0)
 
     def test_below_unit_radius(self, unit_spec):
-        p = semicircle_path(unit_spec, 1.0, "below")
+        p = semicircle_path(unit_spec, 1.0).conjugate()
         assert p.segments[0].theta_start == -math.pi
 
     def test_wide_interval_gets_line_pieces(self):
         spec = make_spec("cos(z)", -2, 2, 0, 0)
-        p = semicircle_path(spec, 1.0, "above")
+        p = semicircle_path(spec, 1.0)
         assert len(p.segments) == 3
         assert isinstance(p.segments[0], Line)
         assert isinstance(p.segments[2], Line)
 
     def test_radius_equal_to_gap_drops_only_the_empty_piece(self):
         spec = make_spec("cos(z)", -1, 2, 0, 0)
-        p = semicircle_path(spec, 1.0, "above")
+        p = semicircle_path(spec, 1.0)
         assert p.segments == (Arc(0j, 1.0, math.pi, 0.0), Line(1 + 0j, 2 + 0j))
 
     def test_radius_too_large(self, unit_spec):
         with pytest.raises(ValueError):
-            semicircle_path(unit_spec, 1.5, "above")
+            semicircle_path(unit_spec, 1.5)
 
 
 class TestClassifySide:
     def test_round_trip_constructors(self, unit_spec):
-        for side in ("above", "below"):
-            assert classify_side(semicircle_path(unit_spec, 0.5, side), 0.0) == side
-            assert classify_side(semicircle_path(unit_spec, 1.0, side), 0.0) == side
+        for radius in (0.5, 1.0):
+            p = semicircle_path(unit_spec, radius)
+            assert classify_side(p, 0.0) == "above"
+            assert classify_side(p.conjugate(), 0.0) == "below"
 
     def test_path_through_pole_invalid(self):
         p = ComplexPath((Line(-1 + 0j, 1 + 0j),))
@@ -117,7 +118,9 @@ class TestClassifySide:
         # far from the origin the 2r gap between the two real pieces is tiny
         # next to the coordinates, and the side must still come out exactly
         spec = make_spec("cos(z)", 1e4, 1e4 + 1, 1e4 + 0.5, 0)
-        p = semicircle_path(spec, radius, side)
+        p = semicircle_path(spec, radius)
+        if side == "below":
+            p = p.conjugate()
         assert classify_side(p, spec.x0) == side
 
     def test_offset_rectangle_above(self):
@@ -166,13 +169,13 @@ class TestPathValidation:
 
     def test_conjugate_mirrors_to_other_side(self, unit_spec):
         for size in (0.3, 1.0):
-            above = semicircle_path(unit_spec, size, "above")
-            below = semicircle_path(unit_spec, size, "below")
-            assert above.conjugate() == below
+            above = semicircle_path(unit_spec, size)
+            below = above.conjugate()
+            assert classify_side(below, 0.0) == "below"
             assert below.conjugate() == above
 
     def test_reversed_flips_side_and_endpoints(self, unit_spec):
-        p = semicircle_path(unit_spec, 0.5, "above")
+        p = semicircle_path(unit_spec, 0.5)
         r = p.reversed()
         assert classify_side(r, 0.0) == "below"
         assert r.start == p.end
@@ -181,14 +184,14 @@ class TestPathValidation:
 
 class TestJson:
     def test_round_trip(self, unit_spec):
-        p = semicircle_path(unit_spec, 0.5, "above")
+        p = semicircle_path(unit_spec, 0.5)
         doc = path_to_dict(p)
         text = json.dumps(doc)
         q = path_from_dict(json.loads(text))
         assert q == p
 
     def test_schema_fields(self, unit_spec):
-        doc = path_to_dict(semicircle_path(unit_spec, 1.0, "below"))
+        doc = path_to_dict(semicircle_path(unit_spec, 1.0).conjugate())
         assert set(doc) == {"segments"}
         seg = doc["segments"][0]
         assert seg["type"] == "arc"
@@ -216,7 +219,9 @@ def test_classify_round_trip_random(eps_frac, side, a, b, x0_frac):
     eps = eps_frac * spec.pole_gap
     if eps < 1e-6 * (b - a):
         return
-    path = semicircle_path(spec, eps, side)
+    path = semicircle_path(spec, eps)
+    if side == "below":
+        path = path.conjugate()
     assert classify_side(path, x0) == side
 
 

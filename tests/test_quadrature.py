@@ -56,24 +56,24 @@ class TestPathIntegral:
     def test_constant_above_path_gives_minus_i_pi(self):
         # closed form: log(b) - log(-a) - i*pi for the above path
         spec = make_spec("1", -1, 1, 0, 0)
-        path = semicircle_path(spec, 0.5, "above")
+        path = semicircle_path(spec, 0.5)
         r = integrate_path(spec, path)
         assert r.value == pytest.approx(-1j * math.pi, abs=1e-10)
 
     def test_constant_asymmetric_interval(self):
         spec = make_spec("1", -1, 2, 0, 0)
-        r = integrate_path(spec, semicircle_path(spec, 0.5, "above"))
+        r = integrate_path(spec, semicircle_path(spec, 0.5))
         assert r.value == pytest.approx(math.log(2.0) - 1j * math.pi, abs=1e-10)
 
     def test_cos_unit_semicircle_n1(self, cos_spec_n1):
         from conftest import COS_FPI_N1
-        path = semicircle_path(cos_spec_n1, 1.0, "above")
+        path = semicircle_path(cos_spec_n1, 1.0)
         r = integrate_path(cos_spec_n1, path)
         # Int+ = FPI - i*pi*f'(0)/1! and f'(0) = 0
         assert r.value == pytest.approx(COS_FPI_N1, abs=1e-9)
 
     def test_abs_integral_diagnostic_finite(self, cos_spec_n1):
-        path = semicircle_path(cos_spec_n1, 0.25, "above")
+        path = semicircle_path(cos_spec_n1, 0.25)
         r = integrate_path(cos_spec_n1, path)
         assert math.isfinite(r.abs_integral)
         assert r.abs_integral >= abs(r.value)
@@ -87,13 +87,13 @@ class TestPathIntegral:
     def test_nonconvergence_flagged_not_raised(self):
         spec = make_spec("cos(100*z)", -1, 1, 0, 1)
         cfg = QuadConfig(rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=3)
-        r = integrate_path(spec, semicircle_path(spec, 0.5, "above"), cfg)
+        r = integrate_path(spec, semicircle_path(spec, 0.5), cfg)
         assert not r.converged
 
 
 class TestProperties:
     def test_orientation_negates(self, cos_spec_n1):
-        path = semicircle_path(cos_spec_n1, 0.5, "above")
+        path = semicircle_path(cos_spec_n1, 0.5)
         fwd = integrate_path(cos_spec_n1, path)
         bwd = integrate_path(cos_spec_n1, path.reversed())
         assert abs(fwd.value + bwd.value) <= fwd.err_estimate + bwd.err_estimate + 1e-13
@@ -108,9 +108,9 @@ class TestProperties:
             whole.err_estimate + left.err_estimate + right.err_estimate + 1e-14
 
     def test_path_independence_same_side(self, cos_spec_n1):
-        p1 = semicircle_path(cos_spec_n1, 0.1, "above")
-        p2 = semicircle_path(cos_spec_n1, 0.45, "above")
-        p3 = semicircle_path(cos_spec_n1, 0.9, "above")
+        p1 = semicircle_path(cos_spec_n1, 0.1)
+        p2 = semicircle_path(cos_spec_n1, 0.45)
+        p3 = semicircle_path(cos_spec_n1, 0.9)
         values = [integrate_path(cos_spec_n1, p).value for p in (p1, p2, p3)]
         for i in range(3):
             for j in range(i + 1, 3):

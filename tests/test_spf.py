@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apvint.apv import apv_average, default_paths
+from apvint.apv import apv_average
+from apvint.paths import semicircle_path
 from apvint.quadrature import QuadConfig, integrate_function
 from apvint.spf import boundary_values, default_y_schedule, phi_at, spf_identity_check
 
@@ -85,15 +86,13 @@ class TestIdentities:
     @pytest.mark.parametrize("src,n", [("cos(z)", 0), ("cos(z)", 1), ("exp(z)", 2)])
     def test_boundary_equals_opposite_contour(self, src, n):
         spec = make_spec(src, -1, 1, 0, n)
-        plus, minus = default_paths(spec)
-        out = spf_identity_check(spec, plus, minus)
+        out = spf_identity_check(spec)
         assert out["max_abs_diff"] <= 1e-6
 
-    def test_paths_on_the_wrong_side_rejected(self):
+    def test_path_below_gives_its_mirrors_identities(self):
         spec = make_spec("cos(z)", -1, 1, 0, 1)
-        plus, minus = default_paths(spec)
-        with pytest.raises(ValueError, match="classified"):
-            spf_identity_check(spec, minus, plus)
+        above = semicircle_path(spec, 0.5)
+        assert spf_identity_check(spec, above.conjugate()) == spf_identity_check(spec, above)
 
     def test_average_identity(self):
         spec = make_spec("exp(z)", -1, 1, 0, 1)
